@@ -35,7 +35,7 @@ import scipy.sparse.csgraph
 from .errors import DeltaTooLarge, MaxTruncationExceeded, NearSingularPencil
 from .fourier_core import Kernel2D
 from .index import count_half_plane, inertia_hermitian, instability_index_general
-from .lyapunov import LyapunovSolution, green_kernel, solve_lyapunov_core
+from .lyapunov import LyapunovSolution, _matrix_scale, green_kernel, solve_lyapunov_core
 from .norms_estimates import estimate_triple_U
 from .operator_assembly import (
     OperatorSpec,
@@ -144,15 +144,6 @@ def exact_axis_split(A: np.ndarray):
 
 def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _matrix_scale(A: np.ndarray) -> float:
-    fro = np.linalg.norm(A)
-    if fro == 0.0:
-        return 1.0
-    one = np.abs(A).sum(axis=0).max()
-    inf = np.abs(A).sum(axis=1).max()
-    return float(min(fro, math.sqrt(one * inf)))
 
 
 def _reduced_solution(A_N: SpectralMatrix, keep, axis, opts):

@@ -19,6 +19,7 @@ from .errors import (
     NeutralVectorEncountered,
     NonHermitianInput,
 )
+from .lyapunov import _matrix_scale
 
 __all__ = [
     "Inertia",
@@ -97,11 +98,8 @@ def instability_index_general(A, axis_tol=None) -> Inertia:
     T, _ = scipy.linalg.schur(A, output="complex")
     ev = np.diag(T)
     if axis_tol is None:
-        fro = np.linalg.norm(A)
-        one = np.abs(A).sum(axis=0).max() if A.size else 0.0
-        inf = np.abs(A).sum(axis=1).max() if A.size else 0.0
-        scale = min(fro, math.sqrt(one * inf)) if fro > 0 else 0.0
-        axis_tol = 1e-8 * scale
+        # a zero matrix gets tolerance 0, not the 1.0 floor of _matrix_scale
+        axis_tol = 1e-8 * _matrix_scale(A) if A.any() else 0.0
     n_plus, n_minus, n_zero, gap = count_half_plane(ev, axis_tol)
     lam, V = np.linalg.eig(A)
     try:

@@ -116,11 +116,56 @@ def _matrix_scale(A: np.ndarray) -> float:
     return float(min(fro, math.sqrt(one * inf)))
 
 
+# LAPACK trsyl solves triangular blocks up to this size; larger ones split in
+# half, coupled by GEMM (Jonsson & Kagstrom, ACM TOMS 28(4), 2002), which is
+# skipped for a zero coupling block (diagonal T, e.g. constant coefficients)
+_TRSYL_BLOCK = 64
+
+
+def _solve_sylvester(trsyl, A, B, X):
+    """Overwrite X = C by the solution of A^H X + X B = C (A, B upper
+    triangular), split along X's larger dimension down to trsyl blocks."""
+    m, k = X.shape
+    if max(m, k) <= _TRSYL_BLOCK:
+        X[...] = trsyl(A, B, X)
+    elif m >= k:
+        h = m // 2
+        _solve_sylvester(trsyl, A[:h, :h], B, X[:h])
+        if A[:h, h:].any():
+            X[h:] -= A[:h, h:].conj().T @ X[:h]
+        _solve_sylvester(trsyl, A[h:, h:], B, X[h:])
+    else:
+        h = k // 2
+        _solve_sylvester(trsyl, A, B[:h, :h], X[:, :h])
+        if B[:h, h:].any():
+            X[:, h:] -= X[:, :h] @ B[:h, h:]
+        _solve_sylvester(trsyl, A, B[h:, h:], X[:, h:])
+
+
+def _solve_lyapunov(trsyl, T, Y):
+    """_solve_sylvester for T^H Y + Y T = C, C Hermitian, so Y21 = Y12^H."""
+    n = Y.shape[0]
+    if n <= _TRSYL_BLOCK:
+        return _solve_sylvester(trsyl, T, T, Y)
+    h = n // 2
+    T11, T12, T22 = T[:h, :h], T[:h, h:], T[h:, h:]
+    Y11, Y12, Y22 = Y[:h, :h], Y[:h, h:], Y[h:, h:]
+    _solve_lyapunov(trsyl, T11, Y11)
+    if T12.any():
+        Y12 -= Y11 @ T12
+    _solve_sylvester(trsyl, T11, T22, Y12)
+    if T12.any():
+        P = T12.conj().T @ Y12
+        Y22 -= P + P.conj().T
+    _solve_lyapunov(trsyl, T22, Y22)
+    Y[h:, :h] = Y12.conj().T
+
+
 def solve_lyapunov_core(A: np.ndarray, pencil_tol=1e-15, residual_tol=1e-8):
     """Solve A^H U + U A = I for a raw square matrix.
 
-    One complex Schur decomposition plus a triangular Sylvester solve
-    (LAPACK trsyl).  Returns (U, eigenvalues, residual, pair_min) where
+    One complex Schur decomposition plus the blocked triangular solve
+    above, in place.  Returns (U, eigenvalues, residual, pair_min) where
     residual = ||A^H U + U A - I||_F / sqrt(n) and pair_min is the minimal
     |lambda_i + conj(lambda_j)| over eigenvalue pairs.
 
@@ -141,22 +186,31 @@ def solve_lyapunov_core(A: np.ndarray, pencil_tol=1e-15, residual_tol=1e-8):
             pair_min=pair_min,
             tol=tol,
         )
-    (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T, T))
-    Y, scale, info = trsyl(T, T, np.eye(n, dtype=complex), trana="C", tranb="N", isgn=1)
-    if info < 0:
-        raise RuntimeError(f"trsyl failed with info={info}")
-    if info == 1:
-        # solved only after perturbing near-common eigenvalues: same failure
-        # mode the pencil test guards, reached through rounding
-        raise NearSingularPencil(
-            "triangular Sylvester solve required perturbation",
-            eigenvalues=ev,
-            pair_min=pair_min,
-            tol=tol,
-        )
+    (lapack_trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T, T))
+    Y = np.eye(n, dtype=complex)
+    scale = 1.0
+
+    def trsyl(T1, T2, C):
+        nonlocal Y, scale
+        X, block_scale, info = lapack_trsyl(T1, T2, C, trana="C", tranb="N", isgn=1)
+        if info < 0:
+            raise RuntimeError(f"trsyl failed with info={info}")
+        if info == 1:
+            # solved only after perturbing near-common eigenvalues: same failure
+            # mode the pencil test guards, reached through rounding
+            raise NearSingularPencil("triangular Sylvester solve required perturbation",
+                                     eigenvalues=ev, pair_min=pair_min, tol=tol)
+        if block_scale != 1.0:
+            Y *= block_scale  # all of Y is linear in the right-hand side
+            scale *= block_scale
+        return X
+
+    _solve_lyapunov(trsyl, T, Y)
     U = Z @ (Y / scale) @ Z.conj().T
     U = 0.5 * (U + U.conj().T)
-    R = A.conj().T @ U + U @ A - np.eye(n)
+    R = U @ A  # U is exactly Hermitian, so A^H U + U A = R + R^H
+    R += R.conj().T
+    R -= np.eye(n)
     residual = float(np.linalg.norm(R)) / math.sqrt(n)
     if residual > residual_tol:
         warnings.warn(

@@ -44,22 +44,19 @@ def _weight_matrix(F: Kernel2D) -> np.ndarray:
 def _sigma_max(W: np.ndarray) -> float:
     if W.shape[0] <= _DENSE_SVD_LIMIT:
         return float(scipy.linalg.svdvals(W)[0])
-    # power iteration on W^T W; W is entrywise nonnegative so the all-ones
-    # start vector has nonzero overlap with the top singular pair
-    v = np.full(W.shape[1], 1.0 / math.sqrt(W.shape[1]))
-    sigma = 0.0
-    for _ in range(10_000):
-        u = W @ v
-        v_next = W.T @ u
-        norm = np.linalg.norm(v_next)
-        if norm == 0.0:
-            return 0.0
-        sigma_next = math.sqrt(norm)
-        v = v_next / norm
-        if abs(sigma_next - sigma) <= 1e-12 * max(sigma_next, 1e-300):
-            return sigma_next
-        sigma = sigma_next
-    return sigma
+    # Collatz-Wielandt: W^T W >= 0, so sigma_max^2 <= max_i (W^T W v)_i / v_i
+    # for every v > 0; power steps (floored positive) tighten it until the
+    # Rayleigh quotient, a lower bound, meets it
+    v = np.ones(W.shape[1])
+    upper = math.inf
+    for _ in range(100):
+        w = W.T @ (W @ v)
+        upper = min(upper, float(np.max(w / v)))
+        if upper <= float(v @ w) / float(v @ v) * (1.0 + 1e-12):
+            break
+        v = np.maximum(w / np.max(w), 1e-12)
+    # each (W^T W v)_i sums nonnegative terms: relative rounding < 2 n eps
+    return math.sqrt(upper * (1.0 + 4.0 * W.shape[0] * np.finfo(float).eps))
 
 
 def triple_norm(F: Kernel2D) -> float:

@@ -170,6 +170,25 @@ def test_benilov_stable_windows_certify():
     assert cert2.n_axis == 1
 
 
+def test_benilov_certificate_frozen():
+    # alpha = (0, 1, 0.05) solves n = 352 kept modes, so the blocked
+    # triangular solve decides this certificate; values frozen from the
+    # unblocked whole-matrix trsyl route
+    cert = certified_index(benilov_coefficients(0.0, 1.0, 0.05))
+    assert cert.spec_digest == (
+        "e6a4ef22dae9ddfa72f2a759ac4cf06406e3fde299397fe44cd9b0da8dc2d02a"
+    )
+    assert cert.status == "Certified"
+    assert (cert.kappa_schur, cert.kappa_lyapunov) == (2, 2)
+    assert (cert.N_final, cert.n_axis) == (177, 3)
+    assert (cert.cond1_ok, cert.cond2_ok) == (True, True)
+    assert cert.M == 62.0
+    assert cert.delta_N == 0.001978997095342973
+    assert cert.axis_gap == 32.889202758160295
+    assert cert.tripleU_upper == pytest.approx(29.10872386941123, rel=1e-12)
+    assert cert.residual <= 1e-13
+
+
 def test_certificate_json_shape():
     spec = constant_spec(0.0, 0.0, -3.0)
     cert = certified_index(spec, CertifyOptions(max_N=48))

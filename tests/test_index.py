@@ -100,6 +100,18 @@ def test_general_count_on_constructed_spectra():
         assert inert.gap == pytest.approx(np.min(np.abs(re)), rel=1e-6)
 
 
+def test_general_count_default_tolerance():
+    # 1e-8 times min(||A||_F, sqrt(||A||_1 ||A||_inf)); a zero matrix gets
+    # tolerance 0 and counts every eigenvalue as on the axis
+    inert = instability_index_general(np.diag([3.0, -4.0]))
+    assert inert.zero_tol == 1e-8 * 4.0
+    assert (inert.n_plus, inert.n_minus, inert.n_zero) == (1, 1, 0)
+    zero = instability_index_general(np.zeros((4, 4)))
+    assert zero.zero_tol == 0.0
+    assert (zero.n_plus, zero.n_minus, zero.n_zero) == (0, 0, 4)
+    assert zero.gap == 0.0
+
+
 def test_u_orth_complement_properties():
     rng = np.random.default_rng(43)
     for _ in range(20):

@@ -1,14 +1,17 @@
 """Lyapunov solver and the free-operator Green kernel.
 
 Independent oracles: the Kronecker-product linear system for small solves,
-and the closed hyperbolic-trigonometric form of the free kernel for the
+the whole-matrix LAPACK trsyl route for the recursive blocked solve, and
+the closed hyperbolic-trigonometric form of the free kernel for the
 coefficient series."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import sik.lyapunov
 from sik import (
     Kernel2D,
     NearSingularPencil,
@@ -16,11 +19,13 @@ from sik import (
     SpectralMatrix,
     TrigPoly,
     assemble_A,
+    benilov_coefficients,
     green_kernel,
     kernel_operator_convert,
     solve_finite_lyapunov,
     solve_lyapunov_core,
 )
+from sik.certify import exact_axis_split
 from sik.lyapunov import _closed_form_constants
 
 FROZEN_C1 = -0.007866734196649159
@@ -172,3 +177,106 @@ def test_finite_solution_bundles_deviation():
     assert sol.residual < 1e-12
     # kappa = 0 here: all eigenvalues strictly stable
     assert np.all(sol.eigenvalues.real < 0.0)
+
+
+def trsyl_solve(A):
+    # the whole-matrix LAPACK route: one unblocked ztrsyl on the Schur form
+    n = A.shape[0]
+    T, Z = scipy.linalg.schur(A, output="complex")
+    (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T, T))
+    Y, scale, info = trsyl(T, T, np.eye(n, dtype=complex), trana="C")
+    assert info == 0
+    U = Z @ (Y / scale) @ Z.conj().T
+    return 0.5 * (U + U.conj().T)
+
+
+def film_block(N):
+    A = assemble_A(benilov_coefficients(0.0, 1.0, 0.02), N).entries
+    keep, _ = exact_axis_split(A)
+    return A[np.ix_(keep, keep)]
+
+
+def patch_trsyl(monkeypatch, results):
+    """Route the solver's trsyl through results(call_index, X, scale, info)."""
+    lookup = scipy.linalg.get_lapack_funcs
+    calls = []
+
+    def patched_lookup(names, arrays):
+        (trsyl,) = lookup(names, arrays)
+
+        def fake(*args, **kwargs):
+            calls.append(None)
+            return results(len(calls), *trsyl(*args, **kwargs))
+
+        return (fake,)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched_lookup)
+    return calls
+
+
+def test_blocked_solver_matches_whole_matrix_trsyl():
+    # sizes around the 64 block edge, two recursion depths, and a
+    # non-normal film block
+    rng = np.random.default_rng(85)
+    cases = [stable_random(rng, n) for n in (1, 63, 64, 65, 131, 300)]
+    cases.append(film_block(60))
+    for A in cases:
+        U, _, _, _ = solve_lyapunov_core(A)
+        U_ref = trsyl_solve(A)
+        assert np.linalg.norm(U - U_ref) <= 1e-12 * np.linalg.norm(U_ref)
+        assert np.array_equal(U, U.conj().T)
+
+
+def test_blocked_recursion_matches_kronecker_oracle(monkeypatch):
+    # a tiny block size runs both Sylvester splits and the Lyapunov split
+    # at sizes the Kronecker system can still check
+    monkeypatch.setattr(sik.lyapunov, "_TRSYL_BLOCK", 3)
+    rng = np.random.default_rng(86)
+    for n in (1, 4, 7, 12, 23):
+        A = stable_random(rng, n)
+        U, _, residual, _ = solve_lyapunov_core(A)
+        U_ref = kron_solve(A)
+        assert np.linalg.norm(U - U_ref) < 1e-10 * np.linalg.norm(U_ref)
+        assert np.array_equal(U, U.conj().T)
+        assert residual < 1e-12
+
+
+def test_blocked_base_case_perturbation_raises(monkeypatch):
+    A = stable_random(np.random.default_rng(87), 131)
+    calls = patch_trsyl(
+        monkeypatch, lambda i, X, scale, info: (X, scale, 1 if i == 3 else info)
+    )
+    with pytest.raises(NearSingularPencil) as err:
+        solve_lyapunov_core(A)
+    assert len(calls) == 3
+    assert err.value.eigenvalues.shape == (131,)
+    assert err.value.pair_min > 0.0
+
+
+def test_blocked_base_case_scale_propagates(monkeypatch):
+    # a base case that scales its right-hand side by 0.5 must leave the
+    # composed solution unchanged once the scale is carried through
+    A = stable_random(np.random.default_rng(88), 131)
+    U_ref, _, _, _ = solve_lyapunov_core(A)
+    calls = patch_trsyl(
+        monkeypatch,
+        lambda i, X, scale, info: (0.5 * X, 0.5 * scale, info) if i % 2 else (X, scale, info),
+    )
+    U, _, _, _ = solve_lyapunov_core(A)
+    assert len(calls) > 2
+    assert np.linalg.norm(U - U_ref) <= 1e-14 * np.linalg.norm(U_ref)
+
+
+def test_blocked_solver_on_diagonal_schur_form():
+    # constant coefficients assemble a diagonal matrix: every coupling block
+    # of T is zero, and U is diagonal with U_pp = 1 / (2 Re lambda_p)
+    spec = OperatorSpec(
+        a=TrigPoly.constant(1.0), b=TrigPoly.constant(2.0), c=TrigPoly.constant(3.0)
+    )
+    A = assemble_A(spec, 70).entries
+    assert A.shape == (141, 141) and np.array_equal(A, np.diag(np.diag(A)))
+    U, _, residual, _ = solve_lyapunov_core(A)
+    exact = 1.0 / (2.0 * np.diag(A).real)
+    assert np.array_equal(U, np.diag(np.diag(U)))
+    assert np.allclose(np.diag(U), exact, rtol=1e-14, atol=0.0)
+    assert residual < 1e-14

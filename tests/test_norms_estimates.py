@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sik import (
     DeltaTooLarge,
@@ -96,6 +97,21 @@ def test_power_iteration_matches_dense_svd():
             sigma = sigma_next
         assert abs(sigma - dense) < 1e-9 * dense
         assert abs(_sigma_max(W) - dense) < 1e-9 * dense
+
+
+def test_sigma_max_upper_bound_above_dense_limit():
+    # beyond the dense-SVD size the value must still bound sigma_max from
+    # above, and tightly
+    rng = np.random.default_rng(94)
+    N = 600
+    p = np.arange(-N, N + 1, dtype=float)
+    decay = 1.0 + p[:, None] ** 4 + p[None, :] ** 4
+    for W in (
+        np.abs(rng.standard_normal((1026, 1026))),
+        _weight_matrix(Kernel2D(random_kernel(rng, N).coeffs / decay)),
+    ):
+        dense = float(scipy.linalg.svdvals(W)[0])
+        assert dense <= _sigma_max(W) <= (1.0 + 1e-8) * dense
 
 
 def test_tail_report_fields_and_bounds():

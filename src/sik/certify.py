@@ -33,17 +33,10 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .errors import DeltaTooLarge, MaxTruncationExceeded, NearSingularPencil
-from .fourier_core import Kernel2D
 from .index import count_half_plane, inertia_hermitian, instability_index_general
-from .lyapunov import LyapunovSolution, _matrix_scale, green_kernel, solve_lyapunov_core
-from .norms_estimates import estimate_triple_U
-from .operator_assembly import (
-    OperatorSpec,
-    SpectralMatrix,
-    assemble_A,
-    constant_M,
-    d_weights,
-)
+from .lyapunov import _matrix_scale, solve_lyapunov_core
+from .norms_estimates import estimate_triple_U_kept
+from .operator_assembly import OperatorSpec, assemble_A, constant_M, d_weights
 
 __all__ = [
     "CertifyOptions",
@@ -146,35 +139,51 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _reduced_solution(A_N: SpectralMatrix, keep, axis, opts):
-    """Lyapunov solve on the kept block, embedded for kernel statistics.
+@dataclass
+class _Truncation:
+    """One truncation N: the entries A of P_N A P_N, its exact axis split,
+    and the Lyapunov solve on the kept block (None until solved)."""
 
-    Returns (solution, U_block, eigenvalues).  The kernel deviation K has
-    the rows/columns of excluded modes zeroed: no equation constrains them,
-    so leaving the free-kernel entries there would fake a tail
-    contribution.
+    N: int
+    A: np.ndarray
+    keep: np.ndarray
+    axis: np.ndarray
+    U: Optional[np.ndarray] = None
+    eigenvalues: Optional[np.ndarray] = None
+    residual: Optional[float] = None
+    pair_min: Optional[float] = None
+
+
+def _solve_truncation(spec: OperatorSpec, N: int, opts) -> _Truncation:
+    """Assemble P_N A P_N, peel its axis modes, solve on the kept block.
+
+    NearSingularPencil propagates; it carries the unsolved record as
+    ``exc.truncation``, so a caller can still count or report.
     """
-    N = A_N.N
-    n = 2 * N + 1
-    A_S = A_N.entries[np.ix_(keep, keep)]
-    U_S, evs, residual, pair_min = solve_lyapunov_core(
-        A_S, pencil_tol=opts.pencil_tol, residual_tol=opts.residual_tol
-    )
-    U_full = np.zeros((n, n), dtype=complex)
-    U_full[np.ix_(keep, keep)] = U_S
-    K = U_full[:, ::-1] / (2.0 * math.pi) - green_kernel(N).as_kernel2d().coeffs
-    if axis.size:
-        K[axis, :] = 0.0
-        K[:, (n - 1) - axis] = 0.0
-    sol = LyapunovSolution(
-        U=SpectralMatrix(U_full, N),
-        K=Kernel2D(K),
-        residual=residual,
-        N=N,
-        eigenvalues=evs,
-        pair_min=pair_min,
-    )
-    return sol, U_S, evs
+    A = assemble_A(spec, N).entries
+    keep, axis = exact_axis_split(A)
+    t = _Truncation(N=N, A=A, keep=keep, axis=axis)
+    try:
+        t.U, t.eigenvalues, t.residual, t.pair_min = solve_lyapunov_core(
+            A[np.ix_(keep, keep)], pencil_tol=opts.pencil_tol, residual_tol=opts.residual_tol
+        )
+    except NearSingularPencil as exc:
+        exc.truncation = t
+        raise
+    return t
+
+
+def _tripleU_upper(t: _Truncation, M: float) -> Optional[float]:
+    """Upper bound on |||U||| from a solved truncation; None when delta_N >= 1."""
+    try:
+        return estimate_triple_U_kept(t.U, t.keep, t.N, M).tripleU_upper
+    except DeltaTooLarge:
+        return None
+
+
+def _cond2_order(M: float, tripleU_upper: float) -> int:
+    """Least N with N^2 >= M (1 + sqrt(1 + M)) |||U|||, condition 2's order."""
+    return math.ceil(math.sqrt(M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper))
 
 
 def _uinv_count(spec: OperatorSpec, N: int, opts) -> Optional[int]:
@@ -183,20 +192,12 @@ def _uinv_count(spec: OperatorSpec, N: int, opts) -> Optional[int]:
     U is solved at a larger truncation (N + 16 keeps condition 1 intact),
     inverted on its certified block, and projected back to modes |p| <= N.
     """
-    N2 = N + 16
-    A_2 = assemble_A(spec, N2)
-    keep2, axis2 = exact_axis_split(A_2.entries)
     try:
-        U_S2, _, _, _ = solve_lyapunov_core(
-            A_2.entries[np.ix_(keep2, keep2)],
-            pencil_tol=opts.pencil_tol,
-            residual_tol=opts.residual_tol,
-        )
+        t = _solve_truncation(spec, N + 16, opts)
     except NearSingularPencil:
         return None
-    W = np.linalg.inv(U_S2)
-    modes2 = keep2 - N2
-    sel = np.abs(modes2) <= N
+    W = np.linalg.inv(t.U)
+    sel = np.abs(t.keep - t.N) <= N
     W_proj = W[np.ix_(sel, sel)]
     return inertia_hermitian(0.5 * (W_proj + W_proj.conj().T)).n_plus
 
@@ -205,8 +206,8 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
     """Adaptive certification loop; always returns a Certificate.
 
     status Certified requires condition 2, agreement of the Schur and
-    inertia counts (and the inverse route when requested), and no
-    eigenvalue inside the axis tolerance band.
+    inertia counts (and the inverse route when requested), no eigenvalue
+    inside the axis tolerance band, and a residual within residual_tol.
     """
     opts = opts or CertifyOptions()
     M = constant_M(spec)
@@ -216,14 +217,12 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
     best: Certificate | None = None
 
     for _ in range(max(1, opts.max_iterations)):
-        A_N = assemble_A(spec, N)
-        keep, axis = exact_axis_split(A_N.entries)
         delta_N = M / float(N) ** 2
-        axis_tol = opts.axis_rel_tol * _matrix_scale(A_N.entries)
         try:
-            sol, U_S, evs = _reduced_solution(A_N, keep, axis, opts)
+            t = _solve_truncation(spec, N, opts)
         except NearSingularPencil as exc:
             ev = exc.eigenvalues if exc.eigenvalues is not None else np.array([])
+            axis_tol = opts.axis_rel_tol * _matrix_scale(exc.truncation.A)
             n_plus, _, _, gap = count_half_plane(ev, axis_tol)
             return Certificate(
                 spec_digest=digest,
@@ -240,16 +239,12 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
                 residual=None,
                 axis_gap=gap,
                 status=STATUS_SPECTRA_TOUCH_AXIS,
-                n_axis=int(axis.size),
+                n_axis=int(exc.truncation.axis.size),
                 timestamp=_now(),
             )
 
-        try:
-            tail = estimate_triple_U(sol, M)
-            tripleU_upper = tail.tripleU_upper
-        except DeltaTooLarge:
-            tripleU_upper = None
-
+        axis_tol = opts.axis_rel_tol * _matrix_scale(t.A)
+        tripleU_upper = _tripleU_upper(t, M)
         if tripleU_upper is not None:
             cond1 = float(N) ** 2 > M * tripleU_upper
             cond2 = float(N) ** 2 > M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper
@@ -264,15 +259,15 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
         # certified gap keeps the Schur count honest even when
         # 1e-8 * ||A_N|| (which grows like N^4) would swallow genuine
         # instabilities.
-        if U_S.size:
-            kappa_lyap = inertia_hermitian(U_S).n_plus
-            slack = 1.0 - sol.residual * math.sqrt(U_S.shape[0])
-            u_fro = float(np.linalg.norm(U_S))
+        if t.U.size:
+            kappa_lyap = inertia_hermitian(t.U).n_plus
+            slack = 1.0 - t.residual * math.sqrt(t.U.shape[0])
+            u_fro = float(np.linalg.norm(t.U))
             if slack > 0.0 and u_fro > 0.0:
                 axis_tol = min(axis_tol, 0.25 * slack / u_fro)
         else:
             kappa_lyap = 0
-        n_plus, _, n_zero, gap = count_half_plane(evs, axis_tol)
+        n_plus, _, n_zero, gap = count_half_plane(t.eigenvalues, axis_tol)
         kappa_schur = int(n_plus)
 
         cert = Certificate(
@@ -287,15 +282,18 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             kappa_schur=kappa_schur,
             kappa_lyapunov=int(kappa_lyap),
             kappa_uinv=None,
-            residual=sol.residual,
+            residual=t.residual,
             axis_gap=gap,
             status=STATUS_CONDITION_NOT_MET,
-            n_axis=int(axis.size),
+            n_axis=int(t.axis.size),
             timestamp=_now(),
         )
 
         if cond2:
-            agreed = kappa_schur == kappa_lyap and n_zero == 0
+            # an unreliable solve certifies nothing, whatever it counts
+            agreed = (
+                kappa_schur == kappa_lyap and n_zero == 0 and t.residual <= opts.residual_tol
+            )
             if opts.with_uinv:
                 cert.kappa_uinv = _uinv_count(spec, N, opts)
                 agreed = agreed and cert.kappa_uinv == kappa_schur
@@ -306,8 +304,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
         try:
             if tripleU_upper is None:
                 raise MaxTruncationExceeded(str(N))
-            target = M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper
-            N_next = max(math.ceil(math.sqrt(target)) + opts.margin, N + 1)
+            N_next = max(_cond2_order(M, tripleU_upper) + opts.margin, N + 1)
             if N_next > opts.max_N:
                 if N < opts.max_N:
                     N_next = opts.max_N
@@ -333,39 +330,34 @@ def cross_validate(cert: Certificate, spec: OperatorSpec, opts: CertifyOptions |
     M = cert.M
     report = {"kappa_cert": cert.kappa_schur}
 
-    A_N = assemble_A(spec, N)
-    A_2N = assemble_A(spec, 2 * N)
-    axis_tol = opts.axis_rel_tol * _matrix_scale(A_N.entries)
-    axis_tol2 = opts.axis_rel_tol * _matrix_scale(A_2N.entries)
+    A_N = assemble_A(spec, N).entries
+    try:
+        t2 = _solve_truncation(spec, 2 * N, opts)
+        # project U onto |p| <= N and drop the full 2N solution before the
+        # 2N recount, whose own n x n work arrays set the peak memory
+        sel = np.abs(t2.keep - 2 * N) <= N
+        U_N, rows = t2.U[np.ix_(sel, sel)], t2.keep[sel] - N
+        t2.U = None
+    except NearSingularPencil as exc:
+        t2, U_N = exc.truncation, None
+    axis_tol = opts.axis_rel_tol * _matrix_scale(A_N)
+    axis_tol2 = opts.axis_rel_tol * _matrix_scale(t2.A)
     if cert.axis_gap is not None and cert.axis_gap > 0.0:
         # reuse the gap the certificate established; the coarse relative
         # default can exceed physical eigenvalue real parts at large N
         axis_tol = min(axis_tol, 0.5 * cert.axis_gap)
         axis_tol2 = min(axis_tol2, 0.5 * cert.axis_gap)
-    kappa_N = instability_index_general(A_N.entries, axis_tol=axis_tol).n_plus
-    kappa_2N = instability_index_general(A_2N.entries, axis_tol=axis_tol2).n_plus
+    kappa_N = instability_index_general(A_N, axis_tol=axis_tol).n_plus
+    kappa_2N = instability_index_general(t2.A, axis_tol=axis_tol2).n_plus
     report["kappa_N"] = int(kappa_N)
     report["kappa_2N"] = int(kappa_2N)
     report["kappa_stable"] = kappa_N == kappa_2N == cert.kappa_schur
 
-    keep2, _ = exact_axis_split(A_2N.entries)
-    try:
-        U_S2, _, _, _ = solve_lyapunov_core(
-            A_2N.entries[np.ix_(keep2, keep2)],
-            pencil_tol=opts.pencil_tol,
-            residual_tol=opts.residual_tol,
-        )
-    except NearSingularPencil:
-        report["projection_available"] = False
+    report["projection_available"] = U_N is not None
+    if U_N is None:
         return report
-    report["projection_available"] = True
 
-    modes2 = keep2 - 2 * N
-    sel = np.abs(modes2) <= N
-    U_N = U_S2[np.ix_(sel, sel)]
-    kept_modes = modes2[sel]
-    rows = kept_modes + N
-    A_sub = A_N.entries[np.ix_(rows, rows)]
+    A_sub = A_N[np.ix_(rows, rows)]
 
     H = A_sub.conj().T @ U_N + U_N @ A_sub
     H = 0.5 * (H + H.conj().T)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import math
 import sys
 
 import numpy as np
@@ -25,13 +24,13 @@ from .certify import (
     STATUS_CERTIFIED,
     STATUS_CONDITION_NOT_MET,
     STATUS_SPECTRA_TOUCH_AXIS,
+    _cond2_order,
+    _solve_truncation,
+    _tripleU_upper,
     certified_index,
-    exact_axis_split,
 )
 from .errors import ConfigError, NearSingularPencil
 from .fourier_core import TrigPoly
-from .lyapunov import solve_lyapunov_core
-from .norms_estimates import estimate_triple_U
 from .operator_assembly import (
     OperatorSpec,
     assemble_A,
@@ -226,38 +225,6 @@ def _sidecar_path(csv_path: str) -> str:
     return csv_path + ".json"
 
 
-def _suggested_cutoff(spec, N, M, opts):
-    """Truncation order that condition 2 asks for, from a solve at N."""
-    A_N = assemble_A(spec, N)
-    keep, axis = exact_axis_split(A_N.entries)
-    try:
-        U_S, evs, residual, pair_min = solve_lyapunov_core(
-            A_N.entries[np.ix_(keep, keep)],
-            pencil_tol=opts.pencil_tol,
-            residual_tol=opts.residual_tol,
-        )
-    except NearSingularPencil:
-        return None
-    from .lyapunov import LyapunovSolution, green_kernel
-    from .fourier_core import Kernel2D
-
-    n = 2 * N + 1
-    U_full = np.zeros((n, n), dtype=complex)
-    U_full[np.ix_(keep, keep)] = U_S
-    K = U_full[:, ::-1] / (2.0 * math.pi) - green_kernel(N).as_kernel2d().coeffs
-    if axis.size:
-        K[axis, :] = 0.0
-        K[:, (n - 1) - axis] = 0.0
-    sol = LyapunovSolution(
-        U=None, K=Kernel2D(K), residual=residual, N=N, eigenvalues=evs, pair_min=pair_min
-    )
-    try:
-        tail = estimate_triple_U(sol, M)
-    except Exception:
-        return None
-    return int(math.ceil(math.sqrt(M * (1.0 + math.sqrt(1.0 + M)) * tail.tripleU_upper)))
-
-
 def cmd_spectrum(config_path, out_path=None) -> int:
     config = _load_json(config_path)
     _check_top_level(config)
@@ -267,15 +234,19 @@ def cmd_spectrum(config_path, out_path=None) -> int:
     if out is None:
         raise ConfigError("output", "spectrum requires an output path")
 
+    M = constant_M(spec)
     exit_code = 0
     if fixed_N is not None:
         N = fixed_N
+        try:
+            tripleU_upper = _tripleU_upper(_solve_truncation(spec, N, opts), M)
+        except NearSingularPencil:
+            tripleU_upper = None
     else:
         cert = certified_index(spec, opts)
-        N = cert.N_final
+        N, tripleU_upper = cert.N_final, cert.tripleU_upper
         exit_code = _EXIT_BY_STATUS[cert.status]
 
-    M = constant_M(spec)
     eigs = np.linalg.eigvals(assemble_A(spec, N).entries)
     order = np.lexsort((eigs.imag, -eigs.real))
     lines = ["re,im"]
@@ -284,7 +255,9 @@ def cmd_spectrum(config_path, out_path=None) -> int:
         lines.append(f"{float(ev.real)!r},{float(ev.imag)!r}")
     _write_text(out, "\n".join(lines) + "\n")
 
-    meta = {"N": int(N), "M": M, "suggested_cutoff": _suggested_cutoff(spec, N, M, opts)}
+    # the truncation order condition 2 asks for, when a tail bound exists
+    cutoff = None if tripleU_upper is None else _cond2_order(M, tripleU_upper)
+    meta = {"N": int(N), "M": M, "suggested_cutoff": cutoff}
     _write_text(_sidecar_path(out), json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return exit_code
 

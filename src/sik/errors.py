@@ -10,7 +10,8 @@ class NearSingularPencil(SikError):
     near the imaginary axis, so the Lyapunov equation is (nearly) singular.
 
     Attributes carry the diagnostics the caller needs to report: the computed
-    eigenvalues, the offending minimal pair sum, and the tolerance used.
+    eigenvalues, the offending minimal pair sum, and the tolerance used.  The
+    certification pipeline also attaches its unsolved truncation record.
     """
 
     def __init__(self, message, eigenvalues=None, pair_min=None, tol=None):
@@ -18,6 +19,7 @@ class NearSingularPencil(SikError):
         self.eigenvalues = eigenvalues
         self.pair_min = pair_min
         self.tol = tol
+        self.truncation = None
 
 
 class DeltaTooLarge(SikError):

@@ -21,12 +21,14 @@ import scipy.linalg
 
 from .errors import DeltaTooLarge
 from .fourier_core import Kernel2D
+from .lyapunov import green_kernel
 
 __all__ = [
     "triple_norm",
     "lambda_max_statistic",
     "TailReport",
     "estimate_triple_U",
+    "estimate_triple_U_kept",
     "tail_bound",
 ]
 
@@ -36,9 +38,13 @@ _TWO_PI = 2.0 * math.pi
 _DENSE_SVD_LIMIT = 1025
 
 
+def _weights(N: int) -> np.ndarray:
+    p = np.arange(-N, N + 1).astype(float)
+    return 2.0 + p[:, None] ** 4 + p[None, :] ** 4
+
+
 def _weight_matrix(F: Kernel2D) -> np.ndarray:
-    p = F.modes().astype(float)
-    return (2.0 + p[:, None] ** 4 + p[None, :] ** 4) * np.abs(F.coeffs)
+    return _weights(F.N) * np.abs(F.coeffs)
 
 
 def _sigma_max(W: np.ndarray) -> float:
@@ -80,15 +86,14 @@ class TailReport:
     lambda_max: float
 
 
-def estimate_triple_U(U_sol, M: float) -> TailReport:
-    """Two-sided bound 1 <= |||U||| <= (1 + lambda_max)/(1 - delta_N)."""
-    N = U_sol.N
+def _tail_report(N: int, M: float, lambda_max) -> TailReport:
+    """The bracket for |||U|||; lambda_max() runs only once delta_N < 1."""
     delta = M / float(N) ** 2
     if delta >= 1.0:
         raise DeltaTooLarge(
             f"delta_N = M N^-2 = {delta:.3g} >= 1 at N={N}; increase N"
         )
-    lam = lambda_max_statistic(U_sol)
+    lam = lambda_max()
     return TailReport(
         N=N,
         delta_N=delta,
@@ -96,6 +101,32 @@ def estimate_triple_U(U_sol, M: float) -> TailReport:
         tripleU_upper=(1.0 + lam) / (1.0 - delta),
         lambda_max=lam,
     )
+
+
+def estimate_triple_U(U_sol, M: float) -> TailReport:
+    """Two-sided bound 1 <= |||U||| <= (1 + lambda_max)/(1 - delta_N)."""
+    return _tail_report(U_sol.N, M, lambda: lambda_max_statistic(U_sol))
+
+
+def estimate_triple_U_kept(U: np.ndarray, keep: np.ndarray, N: int, M: float) -> TailReport:
+    """estimate_triple_U for a solution U known only on the modes keep - N.
+
+    K = U - U0 stays in the operator view, W = (2 + p^4 + q^4)
+    |U/(2 pi) - diag(u0hat)|, with the rows and columns of the modes
+    outside keep zero: no equation constrains them.  The kernel view is W
+    with its columns reversed, which leaves sigma_max alone; handing over
+    that reversed view gives LAPACK the kernel view's array bit for bit.
+    """
+
+    def lambda_max():
+        X = U / _TWO_PI
+        X[np.diag_indices_from(X)] -= green_kernel(N).diag_coeffs[keep]
+        W = np.zeros((2 * N + 1, 2 * N + 1))
+        W[np.ix_(keep, keep)] = np.abs(X)
+        W *= _weights(N)
+        return _TWO_PI * _sigma_max(W[:, ::-1])
+
+    return _tail_report(N, M, lambda_max)
 
 
 def tail_bound(M: float, N: int, tripleU: float) -> float:

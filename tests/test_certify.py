@@ -5,9 +5,14 @@ failure statuses, the JSON certificate shape, and the independent
 cross-validation report.
 """
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+import sik.certify
+import sik.cli
 from sik import (
     CertifyOptions,
     OperatorSpec,
@@ -243,3 +248,39 @@ def test_cross_validation_report():
     assert report["lyap_ok"] is True
     assert report["inverse_norm"] <= report["inverse_bound"]
     assert report["inverse_ok"] is True
+
+
+def test_residual_tol_blocks_certified():
+    # every other condition holds here (residual ~1e-15), so only the
+    # residual gate can refuse the certificate
+    spec = benilov_coefficients(0.5, 1.0, 0.5)
+    with pytest.warns(UserWarning, match="residual"):
+        cert = certified_index(spec, CertifyOptions(residual_tol=1e-30))
+    assert cert.status != "Certified"
+    assert cert.cond2_ok
+    assert cert.kappa_schur == cert.kappa_lyapunov == 0
+    assert certified_index(spec).status == "Certified"
+
+
+def test_one_truncated_solve_pipeline():
+    # the certify path and the CLI solve each truncation through one
+    # function and stay off the Kernel2D reference types
+    sites = {"solve_lyapunov_core": [], "exact_axis_split": []}
+    for module in (sik.certify, sik.cli):
+        source = inspect.getsource(module)
+        for name in ("Kernel2D", "LyapunovSolution", "as_kernel2d", "kernel_operator_convert"):
+            assert name not in source, f"{module.__name__} names {name}"
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name in sites:
+                    sites[name].append(fn.name)
+    assert sites == {
+        "solve_lyapunov_core": ["_solve_truncation"],
+        "exact_axis_split": ["_solve_truncation"],
+    }

@@ -11,6 +11,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import sik.cli
 from sik.cli import main
 
 
@@ -198,6 +199,38 @@ def test_spectrum_certified_run_writes_sidecar(tmp_path):
     assert meta["M"] == pytest.approx(8.0)
     assert isinstance(meta["suggested_cutoff"], int)
     assert meta["suggested_cutoff"] > 0
+
+
+@pytest.mark.parametrize(
+    "coefficients, cutoff",
+    [
+        ({"benilov": {"alpha1": 0.0, "alpha2": 1.0, "alpha3": 0.5}}, 8),
+        ({"benilov": {"alpha1": 0.0, "alpha2": 1.0, "alpha3": 0.05}}, 128),
+        ({"fourier": {"c": [{"mode": 0, "value": 1e-12}]}}, None),
+    ],
+)
+def test_spectrum_cutoff_from_certificate_equals_fixed_N(
+    tmp_path, monkeypatch, coefficients, cutoff
+):
+    # the certified route reads the cutoff off the certificate's bound; a
+    # fixed-N run at N_final solves again and must agree
+    solve = sik.cli._solve_truncation
+
+    def no_solve(*args):
+        raise AssertionError("spectrum re-solved after certification")
+
+    monkeypatch.setattr(sik.cli, "_solve_truncation", no_solve)
+    cfg = write_config(tmp_path, {"coefficients": coefficients})
+    main(["spectrum", "--config", cfg, "--out", str(tmp_path / "cert.csv")])
+    meta = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))
+    assert meta["suggested_cutoff"] == cutoff
+
+    monkeypatch.setattr(sik.cli, "_solve_truncation", solve)
+    fixed = {"coefficients": coefficients, "options": {"N": meta["N"]}}
+    cfg = write_config(tmp_path, fixed, name="fixed.json")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "fixed.csv")]) == 0
+    assert json.loads((tmp_path / "fixed.json").read_text(encoding="utf-8")) == meta
+    assert (tmp_path / "fixed.csv").read_text() == (tmp_path / "cert.csv").read_text()
 
 
 def test_sweep_rows_in_grid_order(tmp_path):

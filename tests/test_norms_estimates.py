@@ -9,12 +9,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import sik.norms_estimates
 from sik import (
     DeltaTooLarge,
     Kernel2D,
+    LyapunovSolution,
     OperatorSpec,
     TrigPoly,
     assemble_A,
+    benilov_coefficients,
+    constant_M,
     estimate_triple_U,
     green_kernel,
     kernel2d_sobolev_norm,
@@ -23,7 +27,9 @@ from sik import (
     tail_bound,
     triple_norm,
 )
-from sik.norms_estimates import _sigma_max, _weight_matrix
+from sik.certify import exact_axis_split
+from sik.lyapunov import solve_lyapunov_core
+from sik.norms_estimates import _sigma_max, _weight_matrix, estimate_triple_U_kept
 
 # H^3 kernel norm of the free solution: grows with N, stays < 1.62.
 # A claim of "<= 1" for these is false; values frozen from direct sums.
@@ -175,3 +181,54 @@ def kernel_of_U(sol):
     from sik import kernel_operator_convert
 
     return kernel_operator_convert(sol.U)
+
+
+def test_kept_block_lambda_max_equals_kernel_view():
+    # the operator-view route must reproduce the Kernel2D reference bit
+    # for bit, so that certificates do not move
+    spec = OperatorSpec(
+        a=TrigPoly.from_nonneg_modes([(1, -0.5j)]),
+        b=TrigPoly.zero(),
+        c=TrigPoly.constant(1.0),
+    )
+    M = constant_M(spec)
+    for N in (12, 60):
+        sol = solve_finite_lyapunov(assemble_A(spec, N))
+        ref = estimate_triple_U(sol, M)
+        got = estimate_triple_U_kept(sol.U.entries, np.arange(2 * N + 1), N, M)
+        assert got.lambda_max == lambda_max_statistic(sol)
+        assert got == ref
+
+
+def test_kept_block_lambda_max_equals_kernel_view_axis_peeled():
+    # film case: modes -1, 0, +1 are peeled, so K has their rows and
+    # columns zeroed (built as in the acceptance suite's tail run)
+    N = 60
+    spec = benilov_coefficients(0.0, 1.0, 0.02)
+    M = constant_M(spec)
+    A = assemble_A(spec, N).entries
+    keep, axis = exact_axis_split(A)
+    assert axis.size == 3
+    U_S, evs, resid, pair_min = solve_lyapunov_core(A[np.ix_(keep, keep)])
+    n = 2 * N + 1
+    U_full = np.zeros((n, n), dtype=complex)
+    U_full[np.ix_(keep, keep)] = U_S
+    K = U_full[:, ::-1] / (2.0 * math.pi) - green_kernel(N).as_kernel2d().coeffs
+    K[axis, :] = 0.0
+    K[:, (n - 1) - axis] = 0.0
+    sol = LyapunovSolution(
+        U=None, K=Kernel2D(K), residual=resid, N=N, eigenvalues=evs, pair_min=pair_min
+    )
+    got = estimate_triple_U_kept(U_S, keep, N, M)
+    assert got.lambda_max == lambda_max_statistic(sol)
+    assert got == estimate_triple_U(sol, M)
+
+
+def test_kept_block_delta_checked_before_svd(monkeypatch):
+    def no_svd(W):
+        raise AssertionError("sigma_max evaluated although delta_N >= 1")
+
+    monkeypatch.setattr(sik.norms_estimates, "_sigma_max", no_svd)
+    U = np.eye(5, dtype=complex)
+    with pytest.raises(DeltaTooLarge):
+        estimate_triple_U_kept(U, np.arange(5), 2, 4.0)

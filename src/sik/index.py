@@ -103,7 +103,7 @@ def instability_index_general(A, axis_tol=None) -> Inertia:
     n_plus, n_minus, n_zero, gap = count_half_plane(ev, axis_tol)
     lam, V = np.linalg.eig(A)
     try:
-        recon = V @ np.diag(lam) @ np.linalg.inv(V)
+        recon = (V * lam) @ np.linalg.inv(V)
         norm_A = np.linalg.norm(A)
         eig_residual = float(np.linalg.norm(A - recon) / max(norm_A, 1e-300))
     except np.linalg.LinAlgError:

@@ -250,6 +250,60 @@ def test_cross_validation_report():
     assert report["inverse_ok"] is True
 
 
+def test_cross_validation_report_frozen():
+    # alpha=(0,1,0.05) certifies kappa=2 at N=177; the recount reads the
+    # Schur diagonals of the 2N solve and of A_N
+    spec = benilov_coefficients(0.0, 1.0, 0.05)
+    report = cross_validate(certified_index(spec), spec)
+    frozen = {
+        "lyap_min": 0.9999999999997852,
+        "c_N": 0.9998859977350322,
+        "inverse_norm": 3.2593563401818835,
+        "inverse_bound": 126.01436592313372,
+    }
+    for key, value in frozen.items():
+        assert report.pop(key) == pytest.approx(value, rel=1e-12), key
+    assert report == {
+        "kappa_cert": 2,
+        "kappa_N": 2,
+        "kappa_2N": 2,
+        "kappa_stable": True,
+        "projection_available": True,
+        "lyap_ok": True,
+        "inverse_ok": True,
+    }
+
+
+@pytest.mark.filterwarnings("ignore:Lyapunov residual")
+def test_cross_validation_touch_axis_counts():
+    # the 2N solve meets a singular pencil, so kappa_2N comes from the
+    # eigenvalues the exception carries; recounting A_N with eigvals (zgeev)
+    # instead of Schur reads kappa_N = 5 here
+    spec = benilov_coefficients(1e-8, 1.0, 0.02)
+    opts = CertifyOptions(max_N=192)
+    cert = certified_index(spec, opts)
+    assert cert.status == "SpectraTouchAxis"
+    assert cross_validate(cert, spec, opts) == {
+        "kappa_cert": 4,
+        "kappa_N": 4,
+        "kappa_2N": 4,
+        "kappa_stable": True,
+        "projection_available": False,
+    }
+
+
+@pytest.mark.parametrize(
+    "alpha, N", [((0.0, 1.0, 0.05), 60), ((0.0, 1.0, 0.05), 177), ((0.0, 1.0, 0.02), 40)]
+)
+def test_centre_block_of_2N_truncation_is_A_N(alpha, N):
+    # cross_validate takes A_N from the 2N record instead of assembling it;
+    # alpha1 = 0 puts three exact axis modes into each of these truncations
+    spec = benilov_coefficients(*alpha)
+    A2 = assemble_A(spec, 2 * N).entries
+    assert np.array_equal(A2[N : 3 * N + 1, N : 3 * N + 1], assemble_A(spec, N).entries)
+    assert exact_axis_split(A2)[1].size == 3
+
+
 def test_residual_tol_blocks_certified():
     # every other condition holds here (residual ~1e-15), so only the
     # residual gate can refuse the certificate
@@ -264,11 +318,18 @@ def test_residual_tol_blocks_certified():
 
 def test_one_truncated_solve_pipeline():
     # the certify path and the CLI solve each truncation through one
-    # function and stay off the Kernel2D reference types
-    sites = {"solve_lyapunov_core": [], "exact_axis_split": []}
+    # function, stay off the Kernel2D reference types and off the eig/inv
+    # route; the only Schur outside the solve is cross_validate's recount at N
+    sites = {"solve_lyapunov_core": [], "exact_axis_split": [], "schur": []}
     for module in (sik.certify, sik.cli):
         source = inspect.getsource(module)
-        for name in ("Kernel2D", "LyapunovSolution", "as_kernel2d", "kernel_operator_convert"):
+        for name in (
+            "Kernel2D",
+            "LyapunovSolution",
+            "as_kernel2d",
+            "kernel_operator_convert",
+            "instability_index_general",
+        ):
             assert name not in source, f"{module.__name__} names {name}"
         for fn in ast.walk(ast.parse(source)):
             if not isinstance(fn, ast.FunctionDef):
@@ -283,4 +344,5 @@ def test_one_truncated_solve_pipeline():
     assert sites == {
         "solve_lyapunov_core": ["_solve_truncation"],
         "exact_axis_split": ["_solve_truncation"],
+        "schur": ["cross_validate"],
     }

@@ -34,8 +34,8 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .errors import DeltaTooLarge, MaxTruncationExceeded, NearSingularPencil
-from .index import count_half_plane, inertia_hermitian
-from .lyapunov import _matrix_scale, solve_lyapunov_core
+from .index import _AXIS_REL_TOL, count_half_plane, inertia_hermitian
+from .lyapunov import _RESIDUAL_TOL, _matrix_scale, solve_lyapunov_core
 from .norms_estimates import estimate_triple_U_kept
 from .operator_assembly import OperatorSpec, assemble_A, constant_M, d_weights
 
@@ -51,21 +51,16 @@ STATUS_CERTIFIED = "Certified"
 STATUS_CONDITION_NOT_MET = "ConditionNotMet"
 STATUS_SPECTRA_TOUCH_AXIS = "SpectraTouchAxis"
 
+# the first truncation is at least _N_MIN; each next one exceeds the order
+# condition 2 asks for by _MARGIN
+_N_MIN = 8
+_MARGIN = 8
+
 
 @dataclass
 class CertifyOptions:
-    n_min: int = 8
     max_N: int = 512
     max_iterations: int = 20
-    with_uinv: bool = False
-    # pairs |l_i + conj(l_j)| below pencil_tol * ||A|| are treated as a
-    # singular pencil; a few machine epsilons is the backward-error floor
-    # (entries of fourth-order truncations grow like N^4, so anything much
-    # larger starts rejecting well-posed solves)
-    pencil_tol: float = 1e-15
-    residual_tol: float = 1e-8
-    axis_rel_tol: float = 1e-8
-    margin: int = 8
 
 
 @dataclass
@@ -80,7 +75,6 @@ class Certificate:
     cond2_ok: bool
     kappa_schur: Optional[int]
     kappa_lyapunov: Optional[int]
-    kappa_uinv: Optional[int]
     residual: Optional[float]
     axis_gap: Optional[float]
     status: str
@@ -92,7 +86,7 @@ class Certificate:
         return self.kappa_schur
 
     def to_json_dict(self):
-        out = {
+        return {
             "spec_digest": self.spec_digest,
             "M": self.M,
             "N_final": self.N_final,
@@ -109,9 +103,6 @@ class Certificate:
             "n_axis": self.n_axis,
             "timestamp": self.timestamp,
         }
-        if self.kappa_uinv is not None:
-            out["kappa_uinv"] = self.kappa_uinv
-        return out
 
 
 def exact_axis_split(A: np.ndarray):
@@ -155,7 +146,7 @@ class _Truncation:
     pair_min: Optional[float] = None
 
 
-def _solve_truncation(spec: OperatorSpec, N: int, opts) -> _Truncation:
+def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
     """Assemble P_N A P_N, peel its axis modes, solve on the kept block.
 
     NearSingularPencil propagates; it carries the unsolved record as
@@ -165,9 +156,7 @@ def _solve_truncation(spec: OperatorSpec, N: int, opts) -> _Truncation:
     keep, axis = exact_axis_split(A)
     t = _Truncation(N=N, A=A, keep=keep, axis=axis)
     try:
-        t.U, t.eigenvalues, t.residual, t.pair_min = solve_lyapunov_core(
-            A[np.ix_(keep, keep)], pencil_tol=opts.pencil_tol, residual_tol=opts.residual_tol
-        )
+        t.U, t.eigenvalues, t.residual, t.pair_min = solve_lyapunov_core(A[np.ix_(keep, keep)])
     except NearSingularPencil as exc:
         exc.truncation = t
         raise
@@ -187,43 +176,27 @@ def _cond2_order(M: float, tripleU_upper: float) -> int:
     return math.ceil(math.sqrt(M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper))
 
 
-def _uinv_count(spec: OperatorSpec, N: int, opts) -> Optional[int]:
-    """kappa via the inverse route: inertia of P_N U^-1 P_N.
-
-    U is solved at a larger truncation (N + 16 keeps condition 1 intact),
-    inverted on its certified block, and projected back to modes |p| <= N.
-    """
-    try:
-        t = _solve_truncation(spec, N + 16, opts)
-    except NearSingularPencil:
-        return None
-    W = np.linalg.inv(t.U)
-    sel = np.abs(t.keep - t.N) <= N
-    W_proj = W[np.ix_(sel, sel)]
-    return inertia_hermitian(0.5 * (W_proj + W_proj.conj().T)).n_plus
-
-
 def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> Certificate:
     """Adaptive certification loop; always returns a Certificate.
 
     status Certified requires condition 2, agreement of the Schur and
-    inertia counts (and the inverse route when requested), no eigenvalue
-    inside the axis tolerance band, and a residual within residual_tol.
+    inertia counts, no eigenvalue inside the axis tolerance band, and a
+    Lyapunov residual within the fixed gate _RESIDUAL_TOL.
     """
     opts = opts or CertifyOptions()
     M = constant_M(spec)
     digest = spec.digest()
-    N = max(opts.n_min, math.ceil(math.sqrt(2.0 * M)), spec.max_mode + 4)
+    N = max(_N_MIN, math.ceil(math.sqrt(2.0 * M)), spec.max_mode + 4)
     N = min(N, opts.max_N)
     best: Certificate | None = None
 
     for _ in range(max(1, opts.max_iterations)):
         delta_N = M / float(N) ** 2
         try:
-            t = _solve_truncation(spec, N, opts)
+            t = _solve_truncation(spec, N)
         except NearSingularPencil as exc:
             ev = exc.eigenvalues if exc.eigenvalues is not None else np.array([])
-            axis_tol = opts.axis_rel_tol * _matrix_scale(exc.truncation.A)
+            axis_tol = _AXIS_REL_TOL * _matrix_scale(exc.truncation.A)
             n_plus, _, _, gap = count_half_plane(ev, axis_tol)
             return Certificate(
                 spec_digest=digest,
@@ -236,7 +209,6 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
                 cond2_ok=False,
                 kappa_schur=int(n_plus) if ev.size else None,
                 kappa_lyapunov=None,
-                kappa_uinv=None,
                 residual=None,
                 axis_gap=gap,
                 status=STATUS_SPECTRA_TOUCH_AXIS,
@@ -244,7 +216,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
                 timestamp=_now(),
             )
 
-        axis_tol = opts.axis_rel_tol * _matrix_scale(t.A)
+        axis_tol = _AXIS_REL_TOL * _matrix_scale(t.A)
         tripleU_upper = _tripleU_upper(t, M)
         if tripleU_upper is not None:
             cond1 = float(N) ** 2 > M * tripleU_upper
@@ -282,7 +254,6 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             cond2_ok=bool(cond2),
             kappa_schur=kappa_schur,
             kappa_lyapunov=int(kappa_lyap),
-            kappa_uinv=None,
             residual=t.residual,
             axis_gap=gap,
             status=STATUS_CONDITION_NOT_MET,
@@ -292,12 +263,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
 
         if cond2:
             # an unreliable solve certifies nothing, whatever it counts
-            agreed = (
-                kappa_schur == kappa_lyap and n_zero == 0 and t.residual <= opts.residual_tol
-            )
-            if opts.with_uinv:
-                cert.kappa_uinv = _uinv_count(spec, N, opts)
-                agreed = agreed and cert.kappa_uinv == kappa_schur
+            agreed = kappa_schur == kappa_lyap and n_zero == 0 and t.residual <= _RESIDUAL_TOL
             cert.status = STATUS_CERTIFIED if agreed else STATUS_CONDITION_NOT_MET
             return cert
 
@@ -305,7 +271,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
         try:
             if tripleU_upper is None:
                 raise MaxTruncationExceeded(str(N))
-            N_next = max(_cond2_order(M, tripleU_upper) + opts.margin, N + 1)
+            N_next = max(_cond2_order(M, tripleU_upper) + _MARGIN, N + 1)
             if N_next > opts.max_N:
                 if N < opts.max_N:
                     N_next = opts.max_N
@@ -317,7 +283,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
     return best
 
 
-def cross_validate(cert: Certificate, spec: OperatorSpec, opts: CertifyOptions | None = None):
+def cross_validate(cert: Certificate, spec: OperatorSpec):
     """Independent consistency checks for a finished certificate.
 
     Recounts kappa from Schur diagonals: at 2N the pipeline's own (kept
@@ -327,21 +293,20 @@ def cross_validate(cert: Certificate, spec: OperatorSpec, opts: CertifyOptions |
     projection of the double-resolution solution must be >= c_N - 1e-6.
     Report-only: returns a dict, raises nothing.
     """
-    opts = opts or CertifyOptions()
     N = cert.N_final
     M = cert.M
     report = {"kappa_cert": cert.kappa_schur}
 
     try:
-        t2 = _solve_truncation(spec, 2 * N, opts)
+        t2 = _solve_truncation(spec, 2 * N)
         ev2 = t2.eigenvalues
         sel = np.abs(t2.keep - 2 * N) <= N
         U_N, rows = t2.U[np.ix_(sel, sel)], t2.keep[sel] - N
     except NearSingularPencil as exc:
         t2, ev2, U_N = exc.truncation, exc.eigenvalues, None
     A_N = t2.A[N : 3 * N + 1, N : 3 * N + 1]  # modes |p| <= N: exactly P_N A P_N
-    axis_tol = opts.axis_rel_tol * _matrix_scale(A_N)
-    axis_tol2 = opts.axis_rel_tol * _matrix_scale(t2.A)
+    axis_tol = _AXIS_REL_TOL * _matrix_scale(A_N)
+    axis_tol2 = _AXIS_REL_TOL * _matrix_scale(t2.A)
     if cert.axis_gap is not None and cert.axis_gap > 0.0:
         # reuse the gap the certificate established; the coarse relative
         # default can exceed physical eigenvalue real parts at large N

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,16 +46,7 @@ _EXIT_BY_STATUS = {
     STATUS_SPECTRA_TOUCH_AXIS: 3,
 }
 
-_OPTION_KEYS = {
-    "max_N",
-    "with_uinv",
-    "N",
-    "n_min",
-    "max_iterations",
-    "axis_tol",
-    "pencil_tol",
-    "residual_tol",
-}
+_OPTION_KEYS = {"max_N", "max_iterations", "N"}
 
 
 def _load_json(path):
@@ -68,12 +60,24 @@ def _load_json(path):
 
 
 def _require_number(obj, key, positive=False):
-    val = obj
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ConfigError(key, "must be a number")
+    try:
+        val = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConfigError(key, "must be a finite number")
     if positive and not val > 0:
         raise ConfigError(key, "must be > 0")
-    return float(val)
+    return val
+
+
+def _require_count(obj, key):
+    val = _require_number(obj, key, positive=True)
+    if not val.is_integer():
+        raise ConfigError(key, "must be an integer")
+    return int(val)
 
 
 def _coeff_list(entries, key):
@@ -159,31 +163,9 @@ def _options_from_config(config):
     extra = set(raw) - _OPTION_KEYS
     if extra:
         raise ConfigError(f"options.{sorted(extra)[0]}", "unknown option")
-    opts = CertifyOptions()
-    if "max_N" in raw:
-        opts.max_N = int(_require_number(raw["max_N"], "options.max_N", positive=True))
-    if "n_min" in raw:
-        opts.n_min = int(_require_number(raw["n_min"], "options.n_min", positive=True))
-    if "max_iterations" in raw:
-        opts.max_iterations = int(
-            _require_number(raw["max_iterations"], "options.max_iterations", positive=True)
-        )
-    if "with_uinv" in raw:
-        if not isinstance(raw["with_uinv"], bool):
-            raise ConfigError("options.with_uinv", "must be a boolean")
-        opts.with_uinv = raw["with_uinv"]
-    if "axis_tol" in raw:
-        opts.axis_rel_tol = _require_number(raw["axis_tol"], "options.axis_tol", positive=True)
-    if "pencil_tol" in raw:
-        opts.pencil_tol = _require_number(raw["pencil_tol"], "options.pencil_tol", positive=True)
-    if "residual_tol" in raw:
-        opts.residual_tol = _require_number(
-            raw["residual_tol"], "options.residual_tol", positive=True
-        )
-    fixed_N = None
-    if "N" in raw:
-        fixed_N = int(_require_number(raw["N"], "options.N", positive=True))
-    return opts, fixed_N
+    counts = {k: _require_count(v, f"options.{k}") for k, v in raw.items()}
+    fixed_N = counts.pop("N", None)
+    return CertifyOptions(**counts), fixed_N
 
 
 def _check_top_level(config):
@@ -239,7 +221,7 @@ def cmd_spectrum(config_path, out_path=None) -> int:
     if fixed_N is not None:
         N = fixed_N
         try:
-            tripleU_upper = _tripleU_upper(_solve_truncation(spec, N, opts), M)
+            tripleU_upper = _tripleU_upper(_solve_truncation(spec, N), M)
         except NearSingularPencil:
             tripleU_upper = None
     else:

@@ -226,8 +226,8 @@ def leibnitz_constant() -> float:
     override = os.environ.get(LEIBNITZ_ENV_VAR)
     if override is not None:
         value = float(override)
-        if value <= 0.0:
-            raise ValueError(f"{LEIBNITZ_ENV_VAR} must be positive")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{LEIBNITZ_ENV_VAR} must be positive and finite")
         return value
     global _LEIBNITZ_CACHE
     if _LEIBNITZ_CACHE is None:

@@ -21,6 +21,9 @@ from .errors import (
 )
 from .lyapunov import _matrix_scale
 
+# eigenvalues with |Re l| <= _AXIS_REL_TOL * ||A|| count as on the axis
+_AXIS_REL_TOL = 1e-8
+
 __all__ = [
     "Inertia",
     "inertia_hermitian",
@@ -99,7 +102,7 @@ def instability_index_general(A, axis_tol=None) -> Inertia:
     ev = np.diag(T)
     if axis_tol is None:
         # a zero matrix gets tolerance 0, not the 1.0 floor of _matrix_scale
-        axis_tol = 1e-8 * _matrix_scale(A) if A.any() else 0.0
+        axis_tol = _AXIS_REL_TOL * _matrix_scale(A) if A.any() else 0.0
     n_plus, n_minus, n_zero, gap = count_half_plane(ev, axis_tol)
     lam, V = np.linalg.eig(A)
     try:

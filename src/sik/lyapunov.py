@@ -116,6 +116,14 @@ def _matrix_scale(A: np.ndarray) -> float:
     return float(min(fro, math.sqrt(one * inf)))
 
 
+# pairs |l_i + conj(l_j)| below _PENCIL_TOL * ||A|| are treated as a
+# singular pencil; a few machine epsilons is the backward-error floor
+# (entries of fourth-order truncations grow like N^4, so anything much
+# larger starts rejecting well-posed solves)
+_PENCIL_TOL = 1e-15
+# residual ||A^H U + U A - I||_F / sqrt(n) above which a solve is unreliable
+_RESIDUAL_TOL = 1e-8
+
 # LAPACK trsyl solves triangular blocks up to this size; larger ones split in
 # half, coupled by GEMM (Jonsson & Kagstrom, ACM TOMS 28(4), 2002), which is
 # skipped for a zero coupling block (diagonal T, e.g. constant coefficients)
@@ -161,7 +169,7 @@ def _solve_lyapunov(trsyl, T, Y):
     Y[h:, :h] = Y12.conj().T
 
 
-def solve_lyapunov_core(A: np.ndarray, pencil_tol=1e-15, residual_tol=1e-8):
+def solve_lyapunov_core(A: np.ndarray, pencil_tol=_PENCIL_TOL, residual_tol=_RESIDUAL_TOL):
     """Solve A^H U + U A = I for a raw square matrix.
 
     One complex Schur decomposition plus the blocked triangular solve
@@ -222,7 +230,7 @@ def solve_lyapunov_core(A: np.ndarray, pencil_tol=1e-15, residual_tol=1e-8):
 
 
 def solve_finite_lyapunov(
-    A_N: SpectralMatrix, pencil_tol=1e-15, residual_tol=1e-8
+    A_N: SpectralMatrix, pencil_tol=_PENCIL_TOL, residual_tol=_RESIDUAL_TOL
 ) -> LyapunovSolution:
     """Solve the truncated equation for an assembled operator matrix."""
     U, ev, residual, pair_min = solve_lyapunov_core(

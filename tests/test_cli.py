@@ -4,14 +4,19 @@ Runs main() in-process with temp config files and checks exit codes,
 emitted JSON/CSV, and the wording of config errors.
 """
 
+import dataclasses
 import json
+import math
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sik.cli
+from sik import CertifyOptions
 from sik.cli import main
 
 
@@ -114,6 +119,18 @@ def test_index_exit_three_when_axis_touched(tmp_path, capsys):
         ({"coefficients": {"fourier": {}}, "options": {"N": 0}},
          "options.N: must be > 0"),
         ({"coefficients": {"fourier": {}}, "typo": 1}, "typo: unknown top-level key"),
+        (benilov_config(math.nan, 1, 0.02), "coefficients.benilov.alpha1: must be a finite"),
+        (benilov_config(math.inf, 1, 0.02), "coefficients.benilov.alpha1: must be a finite"),
+        (benilov_config(10**400, 1, 0.02), "coefficients.benilov.alpha1: must be a finite"),
+        ({"coefficients": {"fourier": {"c": [{"mode": 0, "value": math.nan}]}}},
+         "coefficients.fourier.c[0].value: must be a finite"),
+        (benilov_config(0, 1, 0.02, options={"max_N": 0.5}), "options.max_N: must be an integer"),
+        (benilov_config(0, 1, 0.02, options={"max_N": 2.7}), "options.max_N: must be an integer"),
+        (benilov_config(0, 1, 0.02, options={"max_iterations": 1.5}),
+         "options.max_iterations: must be an integer"),
+        (benilov_config(0, 1, 0.02, options={"N": 0.5}), "options.N: must be an integer"),
+        (benilov_config(0, 1, 0.02, options={"with_uinv": False}),
+         "options.with_uinv: unknown option"),
     ],
 )
 def test_config_errors_name_offending_key(tmp_path, capsys, config, key):
@@ -122,6 +139,21 @@ def test_config_errors_name_offending_key(tmp_path, capsys, config, key):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert key in err
+
+
+def test_readme_configs_parse():
+    # every JSON config the README shows is accepted as written, and the
+    # options it may set are exactly the ones CertifyOptions and the CLI keep
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        config = json.loads(block)
+        sik.cli._check_top_level(config)
+        sik.cli._spec_from_config(config)
+        sik.cli._options_from_config(config)
+    assert {f.name for f in dataclasses.fields(CertifyOptions)} == {"max_N", "max_iterations"}
+    assert sik.cli._OPTION_KEYS == {"max_N", "max_iterations", "N"}
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

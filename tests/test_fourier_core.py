@@ -175,9 +175,10 @@ def test_leibnitz_constant_frozen_value(monkeypatch):
 def test_leibnitz_env_override(monkeypatch):
     monkeypatch.setenv(LEIBNITZ_ENV_VAR, "0.52")
     assert leibnitz_constant() == 0.52
-    monkeypatch.setenv(LEIBNITZ_ENV_VAR, "-1.0")
-    with pytest.raises(ValueError):
-        leibnitz_constant()
+    for bad in ("-1.0", "nan", "inf"):
+        monkeypatch.setenv(LEIBNITZ_ENV_VAR, bad)
+        with pytest.raises(ValueError):
+            leibnitz_constant()
     monkeypatch.delenv(LEIBNITZ_ENV_VAR)
     assert abs(leibnitz_constant() - FROZEN_LEIBNITZ) < 1e-15
 

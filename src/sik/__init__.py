@@ -4,60 +4,25 @@ The package computes kappa(A), the number of right-half-plane eigenvalues
 (with multiplicity) of A[h] = -h'''' - (a h)'' + (b h)' - c h on periodic
 functions, and certifies via a truncated Lyapunov equation that the finite
 answer equals the infinite-dimensional one.
+
+Reference and oracle routines, the error types and the matrix and kernel
+classes are imported from their modules (sik.oracle, sik.lyapunov, ...).
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateRestriction,
-    DeltaTooLarge,
-    MaxTruncationExceeded,
-    NearSingularPencil,
-    NeutralVectorEncountered,
-    NonHermitianInput,
-    SingularSystem,
-)
-from .fourier_core import (
-    Kernel2D,
-    TrigPoly,
-    kernel2d_sobolev_norm,
-    leibnitz_constant,
-    sobolev_norm,
-    tp_derivative,
-    tp_multiply,
-)
+from .fourier_core import TrigPoly, tp_derivative
 from .operator_assembly import (
     OperatorSpec,
-    SpectralMatrix,
     assemble_A,
-    assemble_A_star,
     benilov_coefficients,
     constant_M,
-    d_weights,
-    sector_params,
 )
-from .lyapunov import (
-    GreenKernel,
-    LyapunovSolution,
-    green_kernel,
-    kernel_operator_convert,
-    solve_finite_lyapunov,
-    solve_lyapunov_core,
-)
-from .norms_estimates import (
-    TailReport,
-    estimate_triple_U,
-    lambda_max_statistic,
-    tail_bound,
-    triple_norm,
-)
+from .lyapunov import kernel_operator_convert, solve_finite_lyapunov
+from .norms_estimates import estimate_triple_U, tail_bound, triple_norm
 from .index import (
-    Inertia,
     addition_rule_check,
     count_half_plane,
-    indefinite_gram_schmidt,
     inertia_hermitian,
     instability_index_general,
-    u_orth_complement,
 )
 from .certify import (
     Certificate,
@@ -65,63 +30,29 @@ from .certify import (
     certified_index,
     cross_validate,
 )
-from .oracle import (
-    DispersionOracle,
-    dispersion_index,
-    kronecker_lyapunov,
-    validation_suite,
-)
+from .oracle import dispersion_index
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
     "CertifyOptions",
-    "ConfigError",
-    "DegenerateRestriction",
-    "DeltaTooLarge",
-    "DispersionOracle",
-    "GreenKernel",
-    "Inertia",
-    "Kernel2D",
-    "LyapunovSolution",
-    "MaxTruncationExceeded",
-    "NearSingularPencil",
-    "NeutralVectorEncountered",
-    "NonHermitianInput",
     "OperatorSpec",
-    "SingularSystem",
-    "SpectralMatrix",
-    "TailReport",
     "TrigPoly",
     "addition_rule_check",
-    "count_half_plane",
     "assemble_A",
-    "assemble_A_star",
     "benilov_coefficients",
     "certified_index",
     "constant_M",
+    "count_half_plane",
     "cross_validate",
-    "d_weights",
     "dispersion_index",
     "estimate_triple_U",
-    "green_kernel",
-    "indefinite_gram_schmidt",
     "inertia_hermitian",
     "instability_index_general",
-    "kernel2d_sobolev_norm",
     "kernel_operator_convert",
-    "kronecker_lyapunov",
-    "lambda_max_statistic",
-    "leibnitz_constant",
-    "sector_params",
-    "sobolev_norm",
     "solve_finite_lyapunov",
-    "solve_lyapunov_core",
     "tail_bound",
     "tp_derivative",
-    "tp_multiply",
     "triple_norm",
-    "u_orth_complement",
-    "validation_suite",
 ]

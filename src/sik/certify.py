@@ -33,7 +33,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .errors import DeltaTooLarge, MaxTruncationExceeded, NearSingularPencil
+from .errors import DeltaTooLarge, NearSingularPencil
 from .index import _AXIS_REL_TOL, count_half_plane, inertia_hermitian
 from .lyapunov import _RESIDUAL_TOL, _matrix_scale, solve_lyapunov_core
 from .norms_estimates import estimate_triple_U_kept
@@ -188,7 +188,6 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
     digest = spec.digest()
     N = max(_N_MIN, math.ceil(math.sqrt(2.0 * M)), spec.max_mode + 4)
     N = min(N, opts.max_N)
-    best: Certificate | None = None
 
     for _ in range(max(1, opts.max_iterations)):
         delta_N = M / float(N) ** 2
@@ -267,20 +266,10 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             cert.status = STATUS_CERTIFIED if agreed else STATUS_CONDITION_NOT_MET
             return cert
 
-        best = cert
-        try:
-            if tripleU_upper is None:
-                raise MaxTruncationExceeded(str(N))
-            N_next = max(_cond2_order(M, tripleU_upper) + _MARGIN, N + 1)
-            if N_next > opts.max_N:
-                if N < opts.max_N:
-                    N_next = opts.max_N
-                else:
-                    raise MaxTruncationExceeded(str(N_next))
-            N = N_next
-        except MaxTruncationExceeded:
-            return best
-    return best
+        if tripleU_upper is None or N >= opts.max_N:
+            return cert
+        N = min(max(_cond2_order(M, tripleU_upper) + _MARGIN, N + 1), opts.max_N)
+    return cert
 
 
 def cross_validate(cert: Certificate, spec: OperatorSpec):

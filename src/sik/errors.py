@@ -34,14 +34,6 @@ class DegenerateRestriction(SikError):
     """A rank decision in the addition-rule check is tolerance-ambiguous."""
 
 
-class NeutralVectorEncountered(SikError):
-    """Indefinite Gram-Schmidt hit a pivot with |[v,v]| below tolerance."""
-
-
-class MaxTruncationExceeded(SikError):
-    """The certification loop needed a truncation order beyond opts.max_N."""
-
-
 class SingularSystem(SikError):
     """The Kronecker-form linear system for the Lyapunov equation is singular."""
 

@@ -160,13 +160,6 @@ class Kernel2D:
     def modes(self):
         return np.arange(-self.N, self.N + 1)
 
-    def restricted(self, n):
-        """The sub-kernel with |p|,|q| <= n (n <= N)."""
-        if n > self.N:
-            raise ValueError(f"cannot restrict to n={n} > N={self.N}")
-        lo, hi = self.N - n, self.N + n + 1
-        return Kernel2D(self.coeffs[lo:hi, lo:hi].copy())
-
 
 def tp_multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Pointwise product via coefficient convolution."""

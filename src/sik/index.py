@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DegenerateRestriction,
-    NeutralVectorEncountered,
-    NonHermitianInput,
-)
+from .errors import DegenerateRestriction, NonHermitianInput
 from .lyapunov import _matrix_scale
 
 # eigenvalues with |Re l| <= _AXIS_REL_TOL * ||A|| count as on the axis
@@ -31,7 +27,6 @@ __all__ = [
     "count_half_plane",
     "u_orth_complement",
     "addition_rule_check",
-    "indefinite_gram_schmidt",
 ]
 
 
@@ -196,34 +191,3 @@ def addition_rule_check(U, S1):
         joint = k1 + k2
     rhs += k1 + k2 - joint
     return lhs, rhs
-
-
-def indefinite_gram_schmidt(U, vectors):
-    """U-orthogonalize vectors in the indefinite form [x, y] = <U x, y>.
-
-    Returns a list of vectors with [v_i, v_j] = 0 for i != j and
-    [v_i, v_i] = +-1.  Raises NeutralVectorEncountered when a pivot
-    |[v, v]| falls below tolerance (the caller must deflate or enlarge the
-    set).
-    """
-    U = np.asarray(U, dtype=complex)
-    scale = float(np.linalg.norm(U, 2))
-    basis = []
-    signs = []
-    for vec in vectors:
-        v = np.asarray(vec, dtype=complex).copy()
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            raise NeutralVectorEncountered("zero vector supplied")
-        for w, eps in zip(basis, signs):
-            # [v, w] = w^H U v; subtract the U-projection onto w
-            v = v - eps * (w.conj() @ (U @ v)) * w
-        pivot = float((v.conj() @ (U @ v)).real)
-        if abs(pivot) <= 1e-10 * scale * max(float(np.linalg.norm(v)) ** 2, 1e-300):
-            raise NeutralVectorEncountered(
-                f"pivot {pivot:.3e} is neutral within tolerance"
-            )
-        w = v / math.sqrt(abs(pivot))
-        basis.append(w)
-        signs.append(1.0 if pivot > 0 else -1.0)
-    return basis

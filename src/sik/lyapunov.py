@@ -182,6 +182,8 @@ def solve_lyapunov_core(A: np.ndarray, pencil_tol=_PENCIL_TOL, residual_tol=_RES
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
+    if n == 0:  # every mode was peeled onto the axis: nothing to solve
+        return np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex), 0.0, math.inf
     T, Z = scipy.linalg.schur(A, output="complex")
     ev = np.diag(T).copy()
     pair_min = float(np.abs(ev[:, None] + ev[None, :].conj()).min())

@@ -25,7 +25,6 @@ from .lyapunov import green_kernel
 
 __all__ = [
     "triple_norm",
-    "lambda_max_statistic",
     "TailReport",
     "estimate_triple_U",
     "estimate_triple_U_kept",
@@ -70,11 +69,6 @@ def triple_norm(F: Kernel2D) -> float:
     return _TWO_PI * _sigma_max(_weight_matrix(F))
 
 
-def lambda_max_statistic(U_sol) -> float:
-    """lambda_max = |||P_N K P_N||| for a Lyapunov solution's K = U - U0."""
-    return triple_norm(U_sol.K)
-
-
 @dataclass
 class TailReport:
     """Bounds for |||U||| of the untruncated solution, from one solve."""
@@ -105,7 +99,7 @@ def _tail_report(N: int, M: float, lambda_max) -> TailReport:
 
 def estimate_triple_U(U_sol, M: float) -> TailReport:
     """Two-sided bound 1 <= |||U||| <= (1 + lambda_max)/(1 - delta_N)."""
-    return _tail_report(U_sol.N, M, lambda: lambda_max_statistic(U_sol))
+    return _tail_report(U_sol.N, M, lambda: triple_norm(U_sol.K))
 
 
 def estimate_triple_U_kept(U: np.ndarray, keep: np.ndarray, N: int, M: float) -> TailReport:

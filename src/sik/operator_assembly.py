@@ -17,18 +17,12 @@ coefficients its matrix is the conjugate transpose of A's.)
 from __future__ import annotations
 
 import hashlib
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier_core import (
-    TrigPoly,
-    leibnitz_constant,
-    sobolev_norm,
-    tp_derivative,
-)
+from .fourier_core import TrigPoly, leibnitz_constant, sobolev_norm
 
 __all__ = [
     "OperatorSpec",
@@ -36,7 +30,6 @@ __all__ = [
     "assemble_A",
     "assemble_A_star",
     "constant_M",
-    "sector_params",
     "benilov_coefficients",
     "d_weights",
 ]
@@ -87,9 +80,6 @@ class SpectralMatrix:
             raise ValueError(f"N={N} inconsistent with size {entries.shape[0]}")
         self.entries = entries
         self.N = n
-
-    def modes(self):
-        return np.arange(-self.N, self.N + 1)
 
     def entry(self, p, q):
         return self.entries[p + self.N, q + self.N]
@@ -172,42 +162,6 @@ def constant_M(spec: OperatorSpec) -> float:
         + sum(abs(v) for v in c_shift.coeffs.values())
     )
     return min(h1, l1)
-
-
-def _max_upper_bound(f: TrigPoly) -> float:
-    """Rigorous upper bound for max_x f(x), f real.
-
-    Uniform grid maximum plus the step margin (h/2) max|f'|, with max|f'|
-    bounded by the l^1 norm sum |p fhat(p)| of the derivative coefficients.
-    """
-    if not f.coeffs:
-        return 0.0
-    grid = max(4096, 32 * (f.max_mode + 1))
-    vals = f.sample(grid)
-    deriv_sup = sum(abs(p) * abs(v) for p, v in f.coeffs.items())
-    h = 2.0 * math.pi / grid
-    return float(np.max(vals.real)) + 0.5 * h * deriv_sup
-
-
-def _abs_max_upper_bound(f: TrigPoly) -> float:
-    return max(_max_upper_bound(f), _max_upper_bound(f.scaled(-1.0)), 0.0)
-
-
-def sector_params(spec: OperatorSpec):
-    """(lambda0, theta): vertex and half-angle of a sector containing the
-    numerical range of A - lambda0.
-
-        lambda0 = (1 + max(-a'' + b' - c) + (max a_+)^2) / 2
-        theta   = arctan max|a' - b|
-
-    Maxima are rigorous upper bounds (grid + derivative margin).
-    """
-    a1 = tp_derivative(spec.a, 1)
-    vertex_arg = tp_derivative(spec.a, 2).scaled(-1.0) + tp_derivative(spec.b, 1) - spec.c
-    a_plus = max(_max_upper_bound(spec.a), 0.0)
-    lambda0 = 0.5 * (1.0 + _max_upper_bound(vertex_arg) + a_plus**2)
-    theta = math.atan(_abs_max_upper_bound(a1 - spec.b))
-    return lambda0, theta
 
 
 def benilov_coefficients(alpha1: float, alpha2: float, alpha3: float) -> OperatorSpec:

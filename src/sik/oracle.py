@@ -9,14 +9,11 @@ field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularSystem
 
 __all__ = [
-    "DispersionOracle",
     "dispersion_index",
     "kronecker_lyapunov",
     "mp_hermitian_inertia",
@@ -25,19 +22,6 @@ __all__ = [
 
 # the Kronecker system is n^2 x n^2: O(n^6) flops; keep it a toy
 _KRONECKER_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class DispersionOracle:
-    """Constant coefficients (a, b, c); the spectrum is known exactly."""
-
-    a: float
-    b: float
-    c: float
-
-    def eigenvalue(self, p: int) -> complex:
-        p = float(p)
-        return complex(-(p**4) + self.a * p**2 - self.c, self.b * p)
 
 
 def dispersion_index(a: float, b: float, c: float, N: int) -> int:

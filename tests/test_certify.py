@@ -128,6 +128,13 @@ def test_condition_not_met_when_delta_too_large():
     assert cert.tripleU_upper is None
     assert cert.delta_N == pytest.approx(2.25)
     assert not cert.cond1_ok and not cert.cond2_ok
+    # at N = 1 all three modes of this Benilov spec sit exactly on the axis
+    # (p = 0 vanishes, p = +-1 is +-i/alpha3), so the kept block is empty
+    cert = certified_index(benilov_coefficients(0.0, 1.0, 0.5), CertifyOptions(max_N=1))
+    assert cert.status == "ConditionNotMet"
+    assert (cert.N_final, cert.n_axis, cert.delta_N) == (1, 3, 8.0)
+    assert (cert.kappa_schur, cert.kappa_lyapunov, cert.residual) == (0, 0, 0.0)
+    assert cert.tripleU_upper is None and cert.axis_gap is None
 
 
 def test_axis_touch_reported_not_certified():

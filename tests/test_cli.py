@@ -5,8 +5,10 @@ emitted JSON/CSV, and the wording of config errors.
 """
 
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -18,6 +20,7 @@ import pytest
 import sik.cli
 from sik import CertifyOptions
 from sik.cli import main
+from sik.fourier_core import Kernel2D
 
 
 def write_config(tmp_path, obj, name="run.json"):
@@ -83,6 +86,13 @@ def test_index_exit_two_when_condition_not_met(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "ConditionNotMet"
     assert data["kappa_schur"] == 4
+    # a cap at which every mode is peeled onto the axis still certifies nothing
+    cfg = write_config(
+        tmp_path, benilov_config(0.0, 1.0, 0.5, options={"max_N": 1}), name="n1.json"
+    )
+    assert main(["index", "--config", cfg]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert (data["status"], data["N_final"], data["n_axis"]) == ("ConditionNotMet", 1, 3)
 
 
 def test_index_exit_three_when_axis_touched(tmp_path, capsys):
@@ -156,6 +166,33 @@ def test_readme_configs_parse():
     assert sik.cli._OPTION_KEYS == {"max_N", "max_iterations", "N"}
 
 
+def test_public_surface():
+    # `import sik` exports what the README, the benchmark and the acceptance
+    # suite use; helpers whose only caller was their own test stay deleted
+    assert sorted(sik.__all__) == [
+        "Certificate", "CertifyOptions", "OperatorSpec", "TrigPoly",
+        "addition_rule_check", "assemble_A", "benilov_coefficients",
+        "certified_index", "constant_M", "count_half_plane", "cross_validate",
+        "dispersion_index", "estimate_triple_U", "inertia_hermitian",
+        "instability_index_general", "kernel_operator_convert",
+        "solve_finite_lyapunov", "tail_bound", "tp_derivative", "triple_norm",
+    ]
+    for name in sik.__all__:
+        assert getattr(sik, name) is not None
+    deleted = {
+        "sector_params", "indefinite_gram_schmidt", "NeutralVectorEncountered",
+        "DispersionOracle", "lambda_max_statistic", "MaxTruncationExceeded",
+    }
+    modules = [sik] + [
+        importlib.import_module(f"sik.{info.name}")
+        for info in pkgutil.iter_modules(sik.__path__)
+    ]
+    assert len(modules) == 10
+    for module in modules:
+        assert not deleted & set(vars(module)), module.__name__
+    assert not hasattr(Kernel2D, "restricted")
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert main(["index", "--config", str(tmp_path / "nope.json")]) == 1
     assert "file not found" in capsys.readouterr().err
@@ -218,6 +255,17 @@ def test_spectrum_constant_drift_pattern(tmp_path):
     order = np.lexsort((ev.imag, -ev.real))
     want = np.column_stack([ev[order].real, ev[order].imag])
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_spectrum_fixed_N_all_modes_on_axis(tmp_path):
+    # at N = 1 the Benilov truncation is diag(-2i, 0, 2i): nothing to solve
+    cfg = write_config(tmp_path, benilov_config(0.0, 1.0, 0.5, options={"N": 1}))
+    out = tmp_path / "axis.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows == [["0.0", "-2.0"], ["0.0", "0.0"], ["0.0", "2.0"]]
+    meta = json.loads((tmp_path / "axis.json").read_text(encoding="utf-8"))
+    assert meta == {"N": 1, "M": 8.0, "suggested_cutoff": None}
 
 
 def test_spectrum_certified_run_writes_sidecar(tmp_path):

@@ -7,16 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from sik import (
+from sik import TrigPoly, tp_derivative
+from sik.fourier_core import (
+    LEIBNITZ_ENV_VAR,
     Kernel2D,
-    TrigPoly,
     kernel2d_sobolev_norm,
     leibnitz_constant,
     sobolev_norm,
-    tp_derivative,
     tp_multiply,
 )
-from sik.fourier_core import LEIBNITZ_ENV_VAR
 
 # frozen: S = 1 + 2 sum_{p=1}^{1e6} (1+p^4)^{-1/2} + 2e-6,  C = sqrt(S/2pi)
 FROZEN_SERIES_SUM = 3.6874482619220226
@@ -150,11 +149,6 @@ def test_kernel2d_indexing_and_norm():
     assert F.coeff(0, 0) == -1.0
     expected = 2.0 * math.pi * math.sqrt(math.sqrt(19.0) * 5.0 + math.sqrt(2.0) * 1.0)
     assert abs(kernel2d_sobolev_norm(F, 1) - expected) < 1e-12
-    G = F.restricted(2)
-    assert G.N == 2
-    assert G.coeff(1, -2) == 2.0 + 1.0j
-    with pytest.raises(ValueError):
-        F.restricted(4)
     with pytest.raises(ValueError):
         Kernel2D(np.zeros((4, 4)))
     with pytest.raises(ValueError):

@@ -1,22 +1,19 @@
-"""Inertia counts, the half-plane count, the subspace addition rule, and
-the indefinite orthogonalization.  The LDL factorization serves as the
-congruence (Sylvester-law) oracle for inertia."""
+"""Inertia counts, the half-plane count and the subspace addition rule.
+The LDL factorization serves as the congruence (Sylvester-law) oracle for
+inertia."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from sik import (
-    DegenerateRestriction,
-    NeutralVectorEncountered,
-    NonHermitianInput,
     addition_rule_check,
     count_half_plane,
-    indefinite_gram_schmidt,
     inertia_hermitian,
     instability_index_general,
-    u_orth_complement,
 )
+from sik.errors import DegenerateRestriction, NonHermitianInput
+from sik.index import u_orth_complement
 
 
 def random_hermitian(rng, n, min_gap=0.2):
@@ -161,27 +158,3 @@ def test_addition_rule_degenerate_guard():
     U = np.diag([1.0, 3e-8])
     with pytest.raises(DegenerateRestriction):
         addition_rule_check(U, np.eye(2))
-
-
-def test_indefinite_gram_schmidt_properties():
-    rng = np.random.default_rng(45)
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        U, n_plus = random_hermitian(rng, n)
-        basis = indefinite_gram_schmidt(U, list(np.eye(n).T))
-        assert len(basis) == n
-        G = np.array([[(w.conj() @ U @ v).real for v in basis] for w in basis])
-        off = G - np.diag(np.diag(G))
-        assert np.max(np.abs(off)) < 1e-8
-        pivots = np.diag(G)
-        assert np.allclose(np.abs(pivots), 1.0, atol=1e-10)
-        # completeness: positive pivots count the positive inertia
-        assert int(np.sum(pivots > 0)) == n_plus
-
-
-def test_indefinite_gram_schmidt_neutral_raises():
-    U = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NeutralVectorEncountered):
-        indefinite_gram_schmidt(U, [np.array([1.0, 0.0])])
-    with pytest.raises(NeutralVectorEncountered):
-        indefinite_gram_schmidt(np.eye(2), [np.zeros(2)])

@@ -13,20 +13,18 @@ import scipy.linalg
 
 import sik.lyapunov
 from sik import (
-    Kernel2D,
-    NearSingularPencil,
     OperatorSpec,
-    SpectralMatrix,
     TrigPoly,
     assemble_A,
     benilov_coefficients,
-    green_kernel,
     kernel_operator_convert,
     solve_finite_lyapunov,
-    solve_lyapunov_core,
 )
 from sik.certify import exact_axis_split
-from sik.lyapunov import _closed_form_constants
+from sik.errors import NearSingularPencil
+from sik.fourier_core import Kernel2D
+from sik.lyapunov import _closed_form_constants, green_kernel, solve_lyapunov_core
+from sik.operator_assembly import SpectralMatrix
 
 FROZEN_C1 = -0.007866734196649159
 FROZEN_C2 = -0.053478080811521646

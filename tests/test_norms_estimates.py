@@ -11,24 +11,20 @@ import scipy.linalg
 
 import sik.norms_estimates
 from sik import (
-    DeltaTooLarge,
-    Kernel2D,
-    LyapunovSolution,
     OperatorSpec,
     TrigPoly,
     assemble_A,
     benilov_coefficients,
     constant_M,
     estimate_triple_U,
-    green_kernel,
-    kernel2d_sobolev_norm,
-    lambda_max_statistic,
     solve_finite_lyapunov,
     tail_bound,
     triple_norm,
 )
 from sik.certify import exact_axis_split
-from sik.lyapunov import solve_lyapunov_core
+from sik.errors import DeltaTooLarge
+from sik.fourier_core import Kernel2D, kernel2d_sobolev_norm
+from sik.lyapunov import LyapunovSolution, green_kernel, solve_lyapunov_core
 from sik.norms_estimates import _sigma_max, _weight_matrix, estimate_triple_U_kept
 
 # H^3 kernel norm of the free solution: grows with N, stays < 1.62.
@@ -134,7 +130,7 @@ def test_tail_report_fields_and_bounds():
     assert rep.N == 16
     assert rep.delta_N == M / 256.0
     assert rep.tripleU_lower == 1.0
-    assert rep.lambda_max == lambda_max_statistic(sol)
+    assert rep.lambda_max == triple_norm(sol.K)
     assert rep.tripleU_upper == (1.0 + rep.lambda_max) / (1.0 - rep.delta_N)
     assert rep.tripleU_upper >= 1.0
     assert tail_bound(M, 16, rep.tripleU_upper) == M / 256.0 * rep.tripleU_upper
@@ -196,7 +192,7 @@ def test_kept_block_lambda_max_equals_kernel_view():
         sol = solve_finite_lyapunov(assemble_A(spec, N))
         ref = estimate_triple_U(sol, M)
         got = estimate_triple_U_kept(sol.U.entries, np.arange(2 * N + 1), N, M)
-        assert got.lambda_max == lambda_max_statistic(sol)
+        assert got.lambda_max == triple_norm(sol.K)
         assert got == ref
 
 
@@ -220,7 +216,7 @@ def test_kept_block_lambda_max_equals_kernel_view_axis_peeled():
         U=None, K=Kernel2D(K), residual=resid, N=N, eigenvalues=evs, pair_min=pair_min
     )
     got = estimate_triple_U_kept(U_S, keep, N, M)
-    assert got.lambda_max == lambda_max_statistic(sol)
+    assert got.lambda_max == triple_norm(sol.K)
     assert got == estimate_triple_U(sol, M)
 
 

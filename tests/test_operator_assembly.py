@@ -10,15 +10,12 @@ from sik import (
     OperatorSpec,
     TrigPoly,
     assemble_A,
-    assemble_A_star,
     benilov_coefficients,
     constant_M,
-    d_weights,
-    sector_params,
-    sobolev_norm,
     tp_derivative,
-    tp_multiply,
 )
+from sik.fourier_core import leibnitz_constant, sobolev_norm, tp_multiply
+from sik.operator_assembly import SpectralMatrix, assemble_A_star, d_weights
 
 
 def random_spec(rng, max_mode=3, scale=1.0):
@@ -92,15 +89,12 @@ def test_constant_coefficients_give_diagonal():
 
 
 def test_spectral_matrix_validation():
-    from sik import SpectralMatrix
-
     with pytest.raises(ValueError):
         SpectralMatrix(np.zeros((4, 4)))
     with pytest.raises(ValueError):
         SpectralMatrix(np.zeros((3, 3)), N=2)
     m = SpectralMatrix(np.eye(5))
     assert m.N == 2
-    assert list(m.modes()) == [-2, -1, 0, 1, 2]
 
 
 def test_warns_when_truncation_cuts_coefficients():
@@ -158,8 +152,6 @@ def test_M_uses_smaller_route():
     c_shift = spiky.c - TrigPoly.constant(1.0)
     l1 = sum(abs(v) for v in c_shift.coeffs.values())
     assert abs(constant_M(spiky) - l1) < 1e-12
-    from sik import leibnitz_constant
-
     flat = OperatorSpec(
         a=TrigPoly.zero(),
         b=TrigPoly.zero(),
@@ -167,75 +159,6 @@ def test_M_uses_smaller_route():
     )
     h1 = leibnitz_constant() * sobolev_norm(flat.c - TrigPoly.constant(1.0), 1)
     assert abs(constant_M(flat) - min(h1, 0.6)) < 1e-12
-
-
-def test_sector_constant_cases():
-    lam0, theta = sector_params(
-        OperatorSpec(TrigPoly.zero(), TrigPoly.zero(), TrigPoly.constant(1.0))
-    )
-    assert abs(lam0) < 1e-12
-    assert theta == 0.0
-    lam0, theta = sector_params(
-        OperatorSpec(TrigPoly.zero(), TrigPoly.zero(), TrigPoly.zero())
-    )
-    assert abs(lam0 - 0.5) < 1e-12
-    assert theta == 0.0
-
-
-def test_sector_benilov_against_grid():
-    spec = benilov_coefficients(0.0, 1.0, 0.02)
-    lam0, theta = sector_params(spec)
-    x = 2.0 * math.pi * np.arange(10_000) / 10_000
-    # a = 1 + 50 sin x, b = 50 - 50 cos x, c = 0
-    vertex_arg = 50.0 * np.sin(x) + 50.0 * np.sin(x)
-    a_plus = np.max(1.0 + 50.0 * np.sin(x))
-    lam0_grid = 0.5 * (1.0 + np.max(vertex_arg) + max(a_plus, 0.0) ** 2)
-    theta_grid = math.atan(np.max(np.abs(50.0 * np.cos(x) - (50.0 - 50.0 * np.cos(x)))))
-    # the squared a_+ margin dominates the inflation: 2*51*(pi/4096)*50 ~ 4
-    assert lam0_grid <= lam0 <= lam0_grid + 2.5
-    assert theta_grid <= theta + 1e-12
-    assert theta <= math.atan(math.tan(theta_grid) + 0.5)
-
-
-def test_sector_upper_bounds_cover_true_maxima():
-    rng = np.random.default_rng(74)
-    for _ in range(20):
-        spec = random_spec(rng, max_mode=int(rng.integers(0, 5)))
-        lam0, theta = sector_params(spec)
-        n = 40_000
-        a = spec.a.sample(n)
-        app = tp_derivative(spec.a, 2).sample(n)
-        bp = tp_derivative(spec.b, 1).sample(n)
-        ap = tp_derivative(spec.a, 1).sample(n)
-        b = spec.b.sample(n)
-        c = spec.c.sample(n)
-        lam0_true = 0.5 * (1.0 + np.max(-app + bp - c) + max(np.max(a), 0.0) ** 2)
-        theta_true = math.atan(np.max(np.abs(ap - b)))
-        assert lam0 >= lam0_true - 1e-9
-        assert theta >= theta_true - 1e-9
-
-
-def test_coercivity_of_shifted_operator_interior():
-    # Re<(lambda0 - A) h, h> >= 1/2 ||h||_{H^2}^2 on modes the band
-    # structure represents exactly.  The vertex formula halves the
-    # zero-order correction, so it compensates c only when c >= 0
-    # pointwise; sample within that domain (constant c = -0.2 is a
-    # counterexample with smallest eigenvalue 1/2 + c/2 = 0.4).
-    rng = np.random.default_rng(75)
-    for _ in range(20):
-        mm = int(rng.integers(0, 4))
-        raw = random_spec(rng, max_mode=mm)
-        lift = float(np.min(raw.c.sample(4096))) - 0.05
-        spec = OperatorSpec(a=raw.a, b=raw.b, c=raw.c - TrigPoly.constant(lift))
-        N = int(rng.integers(mm + 4, 13))
-        lam0, _ = sector_params(spec)
-        A = assemble_A(spec, N).entries
-        dinv2 = np.diag(d_weights(N) ** -2.0)
-        G = dinv2 @ (lam0 * np.eye(2 * N + 1) - A) @ dinv2
-        H = 0.5 * (G + G.conj().T)
-        interior = np.abs(np.arange(-N, N + 1)) <= N - mm
-        sub = H[np.ix_(interior, interior)]
-        assert np.linalg.eigvalsh(sub).min() >= 0.5 - 1e-8
 
 
 def test_benilov_coefficient_functions():

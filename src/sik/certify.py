@@ -34,7 +34,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .errors import DeltaTooLarge, NearSingularPencil
-from .index import _AXIS_REL_TOL, count_half_plane, inertia_hermitian
+from .index import _AXIS_REL_TOL, _ldl_n_plus, count_half_plane
 from .lyapunov import _RESIDUAL_TOL, _matrix_scale, solve_lyapunov_core
 from .norms_estimates import estimate_triple_U_kept
 from .operator_assembly import OperatorSpec, assemble_A, constant_M, d_weights
@@ -195,7 +195,8 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             t = _solve_truncation(spec, N)
         except NearSingularPencil as exc:
             ev = exc.eigenvalues if exc.eigenvalues is not None else np.array([])
-            axis_tol = _AXIS_REL_TOL * _matrix_scale(exc.truncation.A)
+            A_N = exc.truncation.A  # backward-error band: 1e-8 ||A_N|| grows like N^4
+            axis_tol = A_N.shape[0] * np.finfo(float).eps * _matrix_scale(A_N)
             n_plus, _, _, gap = count_half_plane(ev, axis_tol)
             return Certificate(
                 spec_digest=digest,
@@ -232,7 +233,9 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
         # 1e-8 * ||A_N|| (which grows like N^4) would swallow genuine
         # instabilities.
         if t.U.size:
-            kappa_lyap = inertia_hermitian(t.U).n_plus
+            # D^2 U D^2: U's inertia, eigenvalues off zero by the elliptic estimate
+            d2 = d_weights(N)[t.keep] ** 2
+            kappa_lyap = _ldl_n_plus(d2[:, None] * t.U * d2[None, :])
             slack = 1.0 - t.residual * math.sqrt(t.U.shape[0])
             u_fro = float(np.linalg.norm(t.U))
             if slack > 0.0 and u_fro > 0.0:
@@ -252,7 +255,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             cond1_ok=bool(cond1),
             cond2_ok=bool(cond2),
             kappa_schur=kappa_schur,
-            kappa_lyapunov=int(kappa_lyap),
+            kappa_lyapunov=kappa_lyap,
             residual=t.residual,
             axis_gap=gap,
             status=STATUS_CONDITION_NOT_MET,

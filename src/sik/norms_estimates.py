@@ -47,6 +47,9 @@ def _weight_matrix(F: Kernel2D) -> np.ndarray:
 
 
 def _sigma_max(W: np.ndarray) -> float:
+    nz = W != 0
+    if nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1:
+        return float(np.abs(W).max())  # a permuted diagonal: its entries are its singular values
     if W.shape[0] <= _DENSE_SVD_LIMIT:
         return float(scipy.linalg.svdvals(W)[0])
     # Collatz-Wielandt: W^T W >= 0, so sigma_max^2 <= max_i (W^T W v)_i / v_i

@@ -6,11 +6,14 @@ cross-validation report.
 """
 
 import ast
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import sik
 import sik.certify
 import sik.cli
 from sik import (
@@ -293,6 +296,30 @@ def test_cross_validation_touch_axis_counts():
     }
 
 
+@pytest.mark.filterwarnings("ignore:Lyapunov residual")
+def test_touch_axis_count_at_default_cap():
+    # at N=512 the pencil is singular (an eigenvalue 5e-9 from the axis);
+    # a 1e-8 * ||A_N|| band (about 690) would hide the eigenvalues 366 and
+    # 71, the backward-error band n eps ||A_N|| keeps them
+    cert = certified_index(benilov_coefficients(1e-8, 1.0, 0.02))
+    assert cert.status == "SpectraTouchAxis"
+    assert cert.N_final == 512
+    assert cert.kappa_schur == 4
+    assert cert.kappa_lyapunov is None
+
+
+@pytest.mark.slow
+def test_film_certificate_frozen():
+    # the headline workload, alpha = (0, 1, 0.02)
+    cert = certified_index(benilov_coefficients(0.0, 1.0, 0.02))
+    assert cert.status == "Certified"
+    assert cert.N_final == 478
+    assert cert.kappa_schur == cert.kappa_lyapunov == 4
+    assert cert.n_axis == 3
+    assert cert.tripleU_upper == pytest.approx(57.54996794710819, rel=1e-12)
+    assert cert.c_N == pytest.approx(0.999974530484972, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "alpha, N", [((0.0, 1.0, 0.05), 60), ((0.0, 1.0, 0.05), 177), ((0.0, 1.0, 0.02), 40)]
 )
@@ -320,8 +347,16 @@ def test_residual_tol_blocks_certified(monkeypatch):
 def test_one_truncated_solve_pipeline():
     # the certify path and the CLI solve each truncation through one
     # function, stay off the Kernel2D reference types and off the eig/inv
-    # route; the only Schur outside the solve is cross_validate's recount at N
-    sites = {"solve_lyapunov_core": [], "exact_axis_split": [], "schur": []}
+    # route; the only Schur outside the solve is cross_validate's recount at
+    # N, and the only eigvalsh its Lyapunov floor: certified_index reads the
+    # inertia from the LDL^H count
+    sites = {
+        "solve_lyapunov_core": [],
+        "exact_axis_split": [],
+        "schur": [],
+        "eigvalsh": [],
+        "_ldl_n_plus": [],
+    }
     for module in (sik.certify, sik.cli):
         source = inspect.getsource(module)
         for name in (
@@ -330,6 +365,7 @@ def test_one_truncated_solve_pipeline():
             "as_kernel2d",
             "kernel_operator_convert",
             "instability_index_general",
+            "inertia_hermitian",
         ):
             assert name not in source, f"{module.__name__} names {name}"
         for fn in ast.walk(ast.parse(source)):
@@ -346,4 +382,14 @@ def test_one_truncated_solve_pipeline():
         "solve_lyapunov_core": ["_solve_truncation"],
         "exact_axis_split": ["_solve_truncation"],
         "schur": ["cross_validate"],
+        "eigvalsh": ["cross_validate"],
+        "_ldl_n_plus": ["certified_index"],
     }
+    # the hetrf lookup lives in sik.index alone, off the lyapunov.trsyl
+    # span that wraps sik.lyapunov's get_lapack_funcs
+    names = [m.name for m in pkgutil.iter_modules(sik.__path__)]
+    assert "index" in names
+    with_hetrf = [
+        name for name in names if "hetrf" in inspect.getsource(importlib.import_module("sik." + name))
+    ]
+    assert with_hetrf == ["index"]

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import sik.certify
 from sik import (
     addition_rule_check,
+    benilov_coefficients,
+    certified_index,
     count_half_plane,
     inertia_hermitian,
     instability_index_general,
 )
+from sik.certify import _solve_truncation
 from sik.errors import DegenerateRestriction, NonHermitianInput
-from sik.index import u_orth_complement
+from sik.index import _ldl_n_plus, u_orth_complement
+from sik.operator_assembly import d_weights
 
 
 def random_hermitian(rng, n, min_gap=0.2):
@@ -50,10 +55,57 @@ def test_inertia_matches_ldl_congruence():
         H, n_plus_true = random_hermitian(rng, n)
         inert = inertia_hermitian(H)
         n_plus_ldl, n_minus_ldl = ldl_inertia(H)
-        assert inert.n_plus == n_plus_true == n_plus_ldl
+        assert inert.n_plus == n_plus_true == n_plus_ldl == _ldl_n_plus(H.copy())
+        # a diagonal matrix is its own D and skips the factorisation
+        d = H.diagonal().real
+        assert _ldl_n_plus(np.diag(d).astype(complex)) == int(np.sum(d > 0))
         assert inert.n_minus == n - n_plus_true == n_minus_ldl
         assert inert.n_zero == 0
         assert inert.n_plus + inert.n_minus + inert.n_zero == n
+
+
+def test_ldl_count_through_2x2_pivots():
+    # a zero diagonal leaves Bunch-Kaufman no 1x1 pivot to start with; the
+    # swap form [[0, 1], [1, 0]] has D = H itself, with eigenvalues +-1
+    (hetrf,) = scipy.linalg.get_lapack_funcs(("hetrf",), (np.zeros((1, 1), complex),))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert np.all(hetrf(swap, lower=True)[1] < 0)
+    assert _ldl_n_plus(swap) == 1
+    rng = np.random.default_rng(46)
+    for _ in range(30):
+        n = int(rng.integers(2, 30))
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = B + B.conj().T
+        np.fill_diagonal(H, 0.0)
+        assert np.any(hetrf(H, lower=True)[1] < 0)
+        eigs = np.linalg.eigvalsh(H)
+        assert np.min(np.abs(eigs)) > 1e-6
+        assert _ldl_n_plus(H.copy()) == int(np.sum(eigs > 0))
+
+
+def test_ldl_count_in_scaled_frame_of_film_block():
+    # Sylvester's law: D^2 U D^2 has U's inertia; at N=60 the unscaled
+    # eigvalsh count is still right, and both read the film's kappa = 4
+    N = 60
+    t = _solve_truncation(benilov_coefficients(0.0, 1.0, 0.02), N)
+    d2 = d_weights(N)[t.keep] ** 2
+    assert _ldl_n_plus(d2[:, None] * t.U * d2[None, :]) == inertia_hermitian(t.U).n_plus == 4
+
+
+def test_ldl_count_refuses_pivot_inside_band(monkeypatch):
+    # a pivot within n eps ||X|| of zero leaves the sign undecided
+    assert _ldl_n_plus(np.diag([1.0, 1e-17]).astype(complex)) is None
+    assert _ldl_n_plus(np.diag([1.0, -1e-13]).astype(complex)) == 1
+    assert _ldl_n_plus(np.ones((3, 3), dtype=complex)) is None
+    # and then the run cannot be Certified, whatever else holds
+    spec = benilov_coefficients(0.5, 1.0, 0.5)
+    assert certified_index(spec).status == "Certified"
+    monkeypatch.setattr(sik.certify, "_ldl_n_plus", lambda X: None)
+    cert = certified_index(spec)
+    assert cert.status != "Certified"
+    assert cert.cond2_ok
+    assert cert.kappa_lyapunov is None
+    assert cert.to_json_dict()["kappa_lyapunov"] is None
 
 
 def test_inertia_zero_tolerance():

@@ -101,6 +101,20 @@ def test_power_iteration_matches_dense_svd():
         assert abs(_sigma_max(W) - dense) < 1e-9 * dense
 
 
+def test_sigma_max_of_permuted_diagonal():
+    # constant coefficients give a W with at most one nonzero per row and
+    # column; its singular values are its entries, as the SVD returns them
+    rng = np.random.default_rng(95)
+    for n in (1, 7, 57, 275):
+        W = np.zeros((n, n))
+        W[np.arange(n), rng.permutation(n)] = rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.8)
+        assert _sigma_max(W) == float(np.max(W))
+        assert _sigma_max(W) == pytest.approx(float(scipy.linalg.svdvals(W)[0]), rel=1e-15)
+    # two nonzeros in one column or one row: sqrt(2), not the largest entry
+    for W in (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])):
+        assert _sigma_max(W) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
 def test_sigma_max_upper_bound_above_dense_limit():
     # beyond the dense-SVD size the value must still bound sigma_max from
     # above, and tightly

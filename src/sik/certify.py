@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,8 +34,8 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .errors import DeltaTooLarge, NearSingularPencil
-from .index import _AXIS_REL_TOL, _ldl_n_plus, count_half_plane
-from .lyapunov import _RESIDUAL_TOL, _matrix_scale, solve_lyapunov_core
+from .index import _ldl_n_plus, count_half_plane
+from .lyapunov import _RESIDUAL_TOL, _sign_band, solve_lyapunov_core
 from .norms_estimates import estimate_triple_U_kept
 from .operator_assembly import OperatorSpec, assemble_A, constant_M, d_weights
 
@@ -86,23 +86,7 @@ class Certificate:
         return self.kappa_schur
 
     def to_json_dict(self):
-        return {
-            "spec_digest": self.spec_digest,
-            "M": self.M,
-            "N_final": self.N_final,
-            "delta_N": self.delta_N,
-            "c_N": self.c_N,
-            "tripleU_upper": self.tripleU_upper,
-            "cond1_ok": self.cond1_ok,
-            "cond2_ok": self.cond2_ok,
-            "kappa_schur": self.kappa_schur,
-            "kappa_lyapunov": self.kappa_lyapunov,
-            "residual": self.residual,
-            "axis_gap": self.axis_gap,
-            "status": self.status,
-            "n_axis": self.n_axis,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
 
 def exact_axis_split(A: np.ndarray):
@@ -180,8 +164,10 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
     """Adaptive certification loop; always returns a Certificate.
 
     status Certified requires condition 2, agreement of the Schur and
-    inertia counts, no eigenvalue inside the axis tolerance band, and a
-    Lyapunov residual within the fixed gate _RESIDUAL_TOL.
+    inertia counts, no eigenvalue inside the sign band, and a Lyapunov
+    residual within the fixed gate _RESIDUAL_TOL.  The Schur count's band
+    is _sign_band's: half the gap the solve certifies, or the
+    backward-error floor n eps ||A_N|| when the pencil is singular.
     """
     opts = opts or CertifyOptions()
     M = constant_M(spec)
@@ -195,9 +181,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             t = _solve_truncation(spec, N)
         except NearSingularPencil as exc:
             ev = exc.eigenvalues if exc.eigenvalues is not None else np.array([])
-            A_N = exc.truncation.A  # backward-error band: 1e-8 ||A_N|| grows like N^4
-            axis_tol = A_N.shape[0] * np.finfo(float).eps * _matrix_scale(A_N)
-            n_plus, _, _, gap = count_half_plane(ev, axis_tol)
+            n_plus, _, _, gap = count_half_plane(ev, _sign_band(exc.truncation.A))
             return Certificate(
                 spec_digest=digest,
                 M=M,
@@ -216,7 +200,6 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
                 timestamp=_now(),
             )
 
-        axis_tol = _AXIS_REL_TOL * _matrix_scale(t.A)
         tripleU_upper = _tripleU_upper(t, M)
         if tripleU_upper is not None:
             cond1 = float(N) ** 2 > M * tripleU_upper
@@ -226,23 +209,15 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             cond1 = cond2 = False
             c_N = None
 
-        # The solved block satisfies A_S^H U + U A_S = I + R with small R,
-        # so every true eigenvalue of A_S obeys
-        # |Re l| >= (1 - ||R||) / (2 ||U||). Counting with half that
-        # certified gap keeps the Schur count honest even when
-        # 1e-8 * ||A_N|| (which grows like N^4) would swallow genuine
-        # instabilities.
         if t.U.size:
             # D^2 U D^2: U's inertia, eigenvalues off zero by the elliptic estimate
             d2 = d_weights(N)[t.keep] ** 2
             kappa_lyap = _ldl_n_plus(d2[:, None] * t.U * d2[None, :])
-            slack = 1.0 - t.residual * math.sqrt(t.U.shape[0])
-            u_fro = float(np.linalg.norm(t.U))
-            if slack > 0.0 and u_fro > 0.0:
-                axis_tol = min(axis_tol, 0.25 * slack / u_fro)
         else:
             kappa_lyap = 0
-        n_plus, _, n_zero, gap = count_half_plane(t.eigenvalues, axis_tol)
+        n_plus, _, n_zero, gap = count_half_plane(
+            t.eigenvalues, _sign_band(t.A, t.U, t.residual)
+        )
         kappa_schur = int(n_plus)
 
         cert = Certificate(
@@ -279,7 +254,10 @@ def cross_validate(cert: Certificate, spec: OperatorSpec):
     """Independent consistency checks for a finished certificate.
 
     Recounts kappa from Schur diagonals: at 2N the pipeline's own (kept
-    block plus exact axis modes), at N one Schur of A_N.  Verifies the bound
+    block plus exact axis modes), at N one Schur of A_N.  Each count takes
+    its band from _sign_band: at 2N half the gap the solve certifies (the
+    floor n eps ||A_2N|| when that pencil is singular), at N the floor
+    n eps ||A_N||, since no solve at N is at hand.  Verifies the bound
     ||(D^2 P_N U P_N D^2)^-1|| <= 2(1+M)/c_N, and the finite Lyapunov
     floor: the smallest eigenvalue of A_N^H U_N + U_N A_N with U_N the
     projection of the double-resolution solution must be >= c_N - 1e-6.
@@ -297,17 +275,10 @@ def cross_validate(cert: Certificate, spec: OperatorSpec):
     except NearSingularPencil as exc:
         t2, ev2, U_N = exc.truncation, exc.eigenvalues, None
     A_N = t2.A[N : 3 * N + 1, N : 3 * N + 1]  # modes |p| <= N: exactly P_N A P_N
-    axis_tol = _AXIS_REL_TOL * _matrix_scale(A_N)
-    axis_tol2 = _AXIS_REL_TOL * _matrix_scale(t2.A)
-    if cert.axis_gap is not None and cert.axis_gap > 0.0:
-        # reuse the gap the certificate established; the coarse relative
-        # default can exceed physical eigenvalue real parts at large N
-        axis_tol = min(axis_tol, 0.5 * cert.axis_gap)
-        axis_tol2 = min(axis_tol2, 0.5 * cert.axis_gap)
     T_N = scipy.linalg.schur(A_N, output="complex")[0]
-    report["kappa_N"] = count_half_plane(np.diagonal(T_N), axis_tol)[0]
+    report["kappa_N"] = count_half_plane(np.diagonal(T_N), _sign_band(A_N))[0]
     ev2 = np.concatenate([ev2, np.diagonal(t2.A)[t2.axis]])  # axis modes: Re exactly 0
-    report["kappa_2N"] = count_half_plane(ev2, axis_tol2)[0]
+    report["kappa_2N"] = count_half_plane(ev2, _sign_band(t2.A, t2.U, t2.residual))[0]
     report["kappa_stable"] = report["kappa_N"] == report["kappa_2N"] == cert.kappa_schur
 
     report["projection_available"] = U_N is not None

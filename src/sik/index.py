@@ -15,9 +15,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateRestriction, NonHermitianInput
-from .lyapunov import _matrix_scale
+from .lyapunov import _matrix_scale, _sign_band
 
-# eigenvalues with |Re l| <= _AXIS_REL_TOL * ||A|| count as on the axis
+# the reference route's default: |Re l| <= _AXIS_REL_TOL * ||A|| counts as on
+# the axis; certify and validate take their bands from _sign_band instead
 _AXIS_REL_TOL = 1e-8
 
 __all__ = [
@@ -77,9 +78,10 @@ def inertia_hermitian(H, zero_tol=None) -> Inertia:
 def _ldl_n_plus(X: np.ndarray) -> int | None:
     """n_plus of a Hermitian X from one Bunch-Kaufman LDL^H (?hetrf, in
     place; by Sylvester's law D has X's inertia).  None when a pivot
-    eigenvalue is within n eps ||X|| of zero: X is within rounding of singular."""
+    eigenvalue is within _sign_band(X) = n eps ||X|| of zero: X is within
+    rounding of singular."""
     n = X.shape[0]
-    band = n * np.finfo(float).eps * _matrix_scale(X)
+    band = _sign_band(X)
     if np.count_nonzero(X) == np.count_nonzero(X.diagonal()):
         ldu, ipiv = X, np.ones(n)  # a diagonal X is its own D: skip hetrf's n BLAS-2 calls
     else:

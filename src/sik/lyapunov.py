@@ -116,10 +116,27 @@ def _matrix_scale(A: np.ndarray) -> float:
     return float(min(fro, math.sqrt(one * inf)))
 
 
+def _sign_band(A: np.ndarray, U=None, residual=None) -> float:
+    """Half-width of the band around zero inside which no sign is decided.
+
+    With a solve A^H U + U A = I + R, ||R||_2 <= residual sqrt(n) < 1,
+    every eigenvalue of A has |Re l| >= (1 - ||R||) / (2 ||U||) (Ostrowski
+    & Schneider, JMAA 4, 1962): the band is half that certified gap.
+    Without one, it is the backward-error floor n eps ||A||.
+    """
+    if U is not None and U.size:
+        slack = 1.0 - residual * math.sqrt(U.shape[0])
+        u_fro = float(np.linalg.norm(U))
+        if slack > 0.0 and u_fro > 0.0:
+            return 0.25 * slack / u_fro
+    return A.shape[0] * np.finfo(float).eps * _matrix_scale(A)
+
+
 # pairs |l_i + conj(l_j)| below _PENCIL_TOL * ||A|| are treated as a
 # singular pencil; a few machine epsilons is the backward-error floor
 # (entries of fourth-order truncations grow like N^4, so anything much
-# larger starts rejecting well-posed solves)
+# larger starts rejecting well-posed solves); _sign_band's floor n eps ||A||
+# would (alpha1 = 1e-4, N = 512: floor 1.6e-2, smallest pair sum 1.0e-4)
 _PENCIL_TOL = 1e-15
 # residual ||A^H U + U A - I||_F / sqrt(n) above which a solve is unreliable
 _RESIDUAL_TOL = 1e-8
@@ -169,7 +186,7 @@ def _solve_lyapunov(trsyl, T, Y):
     Y[h:, :h] = Y12.conj().T
 
 
-def solve_lyapunov_core(A: np.ndarray, pencil_tol=_PENCIL_TOL, residual_tol=_RESIDUAL_TOL):
+def solve_lyapunov_core(A: np.ndarray):
     """Solve A^H U + U A = I for a raw square matrix.
 
     One complex Schur decomposition plus the blocked triangular solve
@@ -177,8 +194,9 @@ def solve_lyapunov_core(A: np.ndarray, pencil_tol=_PENCIL_TOL, residual_tol=_RES
     residual = ||A^H U + U A - I||_F / sqrt(n) and pair_min is the minimal
     |lambda_i + conj(lambda_j)| over eigenvalue pairs.
 
-    Raises NearSingularPencil when pair_min <= pencil_tol * ||A||, i.e.
-    when the spectrum (nearly) touches the imaginary axis.
+    Raises NearSingularPencil when pair_min <= _PENCIL_TOL * ||A||, i.e.
+    when the spectrum (nearly) touches the imaginary axis, and warns when
+    the residual exceeds _RESIDUAL_TOL.  Both are fixed module constants.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
@@ -187,7 +205,7 @@ def solve_lyapunov_core(A: np.ndarray, pencil_tol=_PENCIL_TOL, residual_tol=_RES
     T, Z = scipy.linalg.schur(A, output="complex")
     ev = np.diag(T).copy()
     pair_min = float(np.abs(ev[:, None] + ev[None, :].conj()).min())
-    tol = pencil_tol * _matrix_scale(A)
+    tol = _PENCIL_TOL * _matrix_scale(A)
     if pair_min <= tol:
         raise NearSingularPencil(
             f"eigenvalue pair sum {pair_min:.3e} <= tolerance {tol:.3e}: "
@@ -222,22 +240,18 @@ def solve_lyapunov_core(A: np.ndarray, pencil_tol=_PENCIL_TOL, residual_tol=_RES
     R += R.conj().T
     R -= np.eye(n)
     residual = float(np.linalg.norm(R)) / math.sqrt(n)
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         warnings.warn(
-            f"Lyapunov residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"Lyapunov residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}; "
             "treat the solution as unreliable",
             stacklevel=2,
         )
     return U, ev, residual, pair_min
 
 
-def solve_finite_lyapunov(
-    A_N: SpectralMatrix, pencil_tol=_PENCIL_TOL, residual_tol=_RESIDUAL_TOL
-) -> LyapunovSolution:
+def solve_finite_lyapunov(A_N: SpectralMatrix) -> LyapunovSolution:
     """Solve the truncated equation for an assembled operator matrix."""
-    U, ev, residual, pair_min = solve_lyapunov_core(
-        A_N.entries, pencil_tol=pencil_tol, residual_tol=residual_tol
-    )
+    U, ev, residual, pair_min = solve_lyapunov_core(A_N.entries)
     N = A_N.N
     U_mat = SpectralMatrix(U, N)
     K = kernel_operator_convert(U_mat).coeffs - green_kernel(N).as_kernel2d().coeffs

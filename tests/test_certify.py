@@ -8,7 +8,11 @@ cross-validation report.
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -282,12 +286,42 @@ def test_cross_validation_report_frozen():
 @pytest.mark.filterwarnings("ignore:Lyapunov residual")
 def test_cross_validation_touch_axis_counts():
     # the 2N solve meets a singular pencil, so kappa_2N comes from the
-    # eigenvalues the exception carries; recounting A_N with eigvals (zgeev)
-    # instead of Schur reads kappa_N = 5 here
+    # eigenvalues the exception carries; both recounts use the floor
+    # n eps ||A|| (1.2e-4 at N), which keeps the Schur eigenvalues of A_N
+    # within 1e-8 of the axis inside the band
     spec = benilov_coefficients(1e-8, 1.0, 0.02)
     cert = certified_index(spec, CertifyOptions(max_N=192))
     assert cert.status == "SpectraTouchAxis"
     assert cross_validate(cert, spec) == {
+        "kappa_cert": 4,
+        "kappa_N": 4,
+        "kappa_2N": 4,
+        "kappa_stable": True,
+        "projection_available": False,
+    }
+
+
+def test_cross_validation_touch_axis_counts_one_blas_thread():
+    # the same report with one OpenBLAS thread: a band as narrow as the
+    # eigenvalue 5e-9 from the axis (2.6e-9, say) lets the BLAS thread
+    # count decide its sign, and one thread then reads kappa_N = 5
+    code = (
+        "import json, warnings\n"
+        "from sik import CertifyOptions, benilov_coefficients, certified_index, cross_validate\n"
+        "warnings.simplefilter('ignore')\n"
+        "spec = benilov_coefficients(1e-8, 1.0, 0.02)\n"
+        "cert = certified_index(spec, CertifyOptions(max_N=192))\n"
+        "print(json.dumps([cert.status, cross_validate(cert, spec)]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sik.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    status, report = json.loads(run.stdout)
+    assert status == "SpectraTouchAxis"
+    assert report == {
         "kappa_cert": 4,
         "kappa_N": 4,
         "kappa_2N": 4,
@@ -349,7 +383,8 @@ def test_one_truncated_solve_pipeline():
     # function, stay off the Kernel2D reference types and off the eig/inv
     # route; the only Schur outside the solve is cross_validate's recount at
     # N, and the only eigvalsh its Lyapunov floor: certified_index reads the
-    # inertia from the LDL^H count
+    # inertia from the LDL^H count.  Every sign band on the path is a
+    # _sign_band(...) call, and _sign_band is defined once
     sites = {
         "solve_lyapunov_core": [],
         "exact_axis_split": [],
@@ -393,3 +428,34 @@ def test_one_truncated_solve_pipeline():
         name for name in names if "hetrf" in inspect.getsource(importlib.import_module("sik." + name))
     ]
     assert with_hetrf == ["index"]
+
+    def is_sign_band(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sign_band"
+
+    certify_source = inspect.getsource(sik.certify)
+    for name in ("_AXIS_REL_TOL", "_matrix_scale", "finfo", "1e-8"):
+        assert name not in certify_source, f"sik.certify names {name}"
+    bands = [
+        node.args[1]
+        for node in ast.walk(ast.parse(certify_source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "count_half_plane"
+    ]
+    assert len(bands) == 4 and all(map(is_sign_band, bands))
+    ldl = next(
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(sik.index)))
+        if isinstance(node, ast.FunctionDef) and node.name == "_ldl_n_plus"
+    )
+    ldl_bands = [
+        node.value
+        for node in ast.walk(ldl)
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["band"]
+    ]
+    assert len(ldl_bands) == 1 and is_sign_band(ldl_bands[0])
+    defined = [
+        name
+        for name in names
+        if "def _sign_band(" in inspect.getsource(importlib.import_module("sik." + name))
+    ]
+    assert defined == ["lyapunov"]

@@ -8,6 +8,8 @@ import scipy.linalg
 
 import sik.certify
 from sik import (
+    OperatorSpec,
+    TrigPoly,
     addition_rule_check,
     benilov_coefficients,
     certified_index,
@@ -18,7 +20,9 @@ from sik import (
 from sik.certify import _solve_truncation
 from sik.errors import DegenerateRestriction, NonHermitianInput
 from sik.index import _ldl_n_plus, u_orth_complement
+from sik.lyapunov import _matrix_scale, _sign_band, solve_lyapunov_core
 from sik.operator_assembly import d_weights
+from sik.oracle import _random_with_margin
 
 
 def random_hermitian(rng, n, min_gap=0.2):
@@ -106,6 +110,30 @@ def test_ldl_count_refuses_pivot_inside_band(monkeypatch):
     assert cert.cond2_ok
     assert cert.kappa_lyapunov is None
     assert cert.to_json_dict()["kappa_lyapunov"] is None
+
+
+def test_sign_band_clears_every_schur_eigenvalue():
+    # Ostrowski & Schneider: A^H U + U A = I + R with ||R|| < 1 puts every
+    # eigenvalue at |Re l| >= (1 - ||R||) / (2 ||U||), at least twice the
+    # half-gap _sign_band returns; without a usable solve it is n eps ||A||
+    rng = np.random.default_rng(48)
+    solves = []
+    for n in (6, 8):
+        for _ in range(10):
+            A, _ = _random_with_margin(rng, n, 0.1)
+            U, ev, residual, _ = solve_lyapunov_core(A)
+            solves.append((A, U, ev, residual))
+    for a0, b0, c0 in [(0.0, 0.0, -3.0), (2.0, 1.0, 5.0), (-4.0, 3.0, 0.5), (9.0, -2.0, 0.0)]:
+        const = [TrigPoly.constant(v) for v in (a0, b0, c0)]
+        t = _solve_truncation(OperatorSpec(*const), 12)
+        solves.append((t.A, t.U, t.eigenvalues, t.residual))
+    for A, U, ev, residual in solves:
+        floor = A.shape[0] * np.finfo(float).eps * _matrix_scale(A)
+        assert _sign_band(A) == floor
+        assert _sign_band(A, U, 1.0) == floor  # no slack: the solve certifies nothing
+        band = _sign_band(A, U, residual)
+        assert band != floor
+        assert np.min(np.abs(ev.real)) >= 2.0 * band
 
 
 def test_inertia_zero_tolerance():

@@ -137,11 +137,12 @@ def test_near_singular_pencil_raises():
     assert sorted(np.round(info.value.eigenvalues.imag, 12)) == [2.0, 2.0]
 
 
-def test_residual_warning_threshold():
+def test_residual_warning_threshold(monkeypatch):
     rng = np.random.default_rng(83)
     A = stable_random(rng, 5)
+    monkeypatch.setattr(sik.lyapunov, "_RESIDUAL_TOL", 1e-18)
     with pytest.warns(UserWarning):
-        solve_lyapunov_core(A, residual_tol=1e-18)
+        solve_lyapunov_core(A)
 
 
 def test_kernel_operator_convert_roundtrip():

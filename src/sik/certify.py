@@ -18,7 +18,11 @@ identically), those modes carry exact, axis-bound eigenvalues.  They are
 counted exactly (contributing nothing to kappa) and excluded from the
 Lyapunov solve, which would otherwise be singular by construction.  The
 block-triangular structure makes the spectrum split exactly, so this loses
-nothing.
+nothing.  The kept block's weakly connected components decouple exactly
+too, and real coefficients make A[-p,-q] = conj(A[p,q]): of two mirror
+image components (checked with ==) one is solved, the other is its exact
+index-reversed conjugate.  So Lyapunov's equation is solved at most twice
+per truncation, on P (one side of each pair) and S (the rest).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ STATUS_SPECTRA_TOUCH_AXIS = "SpectraTouchAxis"
 # condition 2 asks for by _MARGIN
 _N_MIN = 8
 _MARGIN = 8
+_SPLIT_MIN = 48  # kept blocks up to this size are solved whole: the split costs more
 
 
 @dataclass
@@ -97,60 +102,113 @@ def exact_axis_split(A: np.ndarray):
     entries themselves (block-triangular structure), known without any
     floating-point ambiguity.  keep is the complement, in order.
     """
-    n = A.shape[0]
-    pattern = scipy.sparse.csr_matrix((A != 0.0).astype(np.int8))
-    ncomp, labels = scipy.sparse.csgraph.connected_components(
-        pattern, directed=True, connection="strong"
+    _, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix((A != 0.0).astype(np.int8)), connection="strong"
     )
-    counts = np.bincount(labels, minlength=ncomp)
-    idx = np.arange(n)
-    singleton = counts[labels] == 1
-    diag_re = np.real(np.diagonal(A))
-    axis = idx[singleton & (diag_re == 0.0)]
-    keep = np.setdiff1d(idx, axis)
-    return keep, axis
+    on_axis = (np.bincount(labels)[labels] == 1) & (np.diagonal(A).real == 0.0)
+    return np.flatnonzero(~on_axis), np.flatnonzero(on_axis)
+
+
+def _mirror_split(A: np.ndarray, keep: np.ndarray):
+    """(P, S): one side of each mirror pair of kept components, and the rest.
+
+    When p -> -p (index i -> n-1-i) maps each weakly connected component
+    of the kept block onto one, P takes the smaller label of each pair (the
+    side of the largest entries first: smaller residuals) and S the
+    self-mirror ones; unless conj(A[P, P]) == A[P', P'] for P' the mirror
+    of P, S is all of keep.  Vectorised: there may be 2N+1 components.
+    """
+    if keep.size <= _SPLIT_MIN:
+        return keep[:0], keep
+    n = A.shape[0]
+    ncomp, lab = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix((A != 0.0)[np.ix_(keep, keep)]), connection="weak"
+    )
+    mlab = lab[::-1]  # each mode's mirror's component, once keep is mirror-symmetric
+    P = keep[mlab > lab]
+    if (
+        np.array_equal(keep, n - 1 - keep[::-1])
+        and np.unique(lab * ncomp + mlab).size == ncomp  # one mirror component each
+        and np.array_equal(A[np.ix_(P, P)].conj(), A[np.ix_(n - 1 - P, n - 1 - P)])
+    ):
+        return P, keep[mlab == lab]
+    return P[:0], keep
 
 
 def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _expand(parts, values):
+    """Each part's eigenvalues, and their conjugates for a mirror pair."""
+    ev = [e for (_, w), v in zip(parts, values) for e in (v, v.conj())[:w]]
+    return np.concatenate([np.zeros(0, dtype=complex), *ev])
+
+
 @dataclass
 class _Truncation:
     """One truncation N: the entries A of P_N A P_N, its exact axis split,
-    and the Lyapunov solve on the kept block (None until solved)."""
+    the kept block's parts (modes, weight 2 for P and its mirror, 1 for S),
+    each part's U (None until solved), and the whole kept block's
+    eigenvalues and residual."""
 
     N: int
     A: np.ndarray
     keep: np.ndarray
     axis: np.ndarray
-    U: Optional[np.ndarray] = None
+    parts: list
+    Us: Optional[list] = None
     eigenvalues: Optional[np.ndarray] = None
     residual: Optional[float] = None
-    pair_min: Optional[float] = None
+
+    @property
+    def U(self) -> np.ndarray:
+        """The whole kept block's U, in keep order; zero between parts."""
+        U = np.zeros((self.keep.size,) * 2, dtype=complex)
+        for (m, w), V in zip(self.parts, self.Us):
+            for i, X in [(m, V), (2 * self.N - m, V.conj())][:w]:
+                U[np.ix_(*[np.searchsorted(self.keep, i)] * 2)] = X
+        return U
+
+    @property
+    def blocks(self) -> list:
+        """The diagonal blocks of U, a mirror pair's once per side."""
+        return [U for (_, w), U in zip(self.parts, self.Us or ()) for _ in range(w)]
 
 
 def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
-    """Assemble P_N A P_N, peel its axis modes, solve on the kept block.
+    """Assemble P_N A P_N, peel its axis modes, solve the kept block's parts.
 
-    NearSingularPencil propagates; it carries the unsolved record as
-    ``exc.truncation``, so a caller can still count or report.
-    """
+    NearSingularPencil propagates with the whole kept block's eigenvalues
+    and the unsolved record as ``exc.truncation``, so a caller can still
+    count or report."""
     A = assemble_A(spec, N).entries
     keep, axis = exact_axis_split(A)
-    t = _Truncation(N=N, A=A, keep=keep, axis=axis)
-    try:
-        t.U, t.eigenvalues, t.residual, t.pair_min = solve_lyapunov_core(A[np.ix_(keep, keep)])
-    except NearSingularPencil as exc:
-        exc.truncation = t
-        raise
+    parts = [(m, w) for m, w in zip(_mirror_split(A, keep), (2, 1)) if m.size]
+    t = _Truncation(N=N, A=A, keep=keep, axis=axis, parts=parts)
+    whole, solves, singular = A[np.ix_(keep, keep)], [], None
+    for m, _ in parts:
+        block = whole if m.size == keep.size else A[np.ix_(m, m)]
+        try:
+            solves.append(solve_lyapunov_core(block, whole))
+        except NearSingularPencil as exc:
+            singular = singular or exc
+            solves.append((None, exc.eigenvalues, None, None))
+    t.eigenvalues = _expand(parts, [s[1] for s in solves])
+    if singular is not None:
+        singular.eigenvalues, singular.truncation = t.eigenvalues, t
+        raise singular
+    t.Us = [s[0] for s in solves]
+    # ||R||_F^2 / n over the kept block: a mirror block's R is P's conjugate
+    t.residual = math.sqrt(sum(w * (m.size / keep.size) * (s[2] * s[2])
+                               for (m, w), s in zip(parts, solves)))
     return t
 
 
 def _tripleU_upper(t: _Truncation, M: float) -> Optional[float]:
     """Upper bound on |||U||| from a solved truncation; None when delta_N >= 1."""
     try:
-        return estimate_triple_U_kept(t.U, t.keep, t.N, M).tripleU_upper
+        return estimate_triple_U_kept(t.Us, [m for m, _ in t.parts], t.N, M).tripleU_upper
     except DeltaTooLarge:
         return None
 
@@ -180,8 +238,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
         try:
             t = _solve_truncation(spec, N)
         except NearSingularPencil as exc:
-            ev = exc.eigenvalues if exc.eigenvalues is not None else np.array([])
-            n_plus, _, _, gap = count_half_plane(ev, _sign_band(exc.truncation.A))
+            n_plus, _, _, gap = count_half_plane(exc.eigenvalues, _sign_band(exc.truncation.A))
             return Certificate(
                 spec_digest=digest,
                 M=M,
@@ -191,7 +248,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
                 tripleU_upper=None,
                 cond1_ok=False,
                 cond2_ok=False,
-                kappa_schur=int(n_plus) if ev.size else None,
+                kappa_schur=int(n_plus) if exc.eigenvalues.size else None,
                 kappa_lyapunov=None,
                 residual=None,
                 axis_gap=gap,
@@ -209,14 +266,12 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             cond1 = cond2 = False
             c_N = None
 
-        if t.U.size:
-            # D^2 U D^2: U's inertia, eigenvalues off zero by the elliptic estimate
-            d2 = d_weights(N)[t.keep] ** 2
-            kappa_lyap = _ldl_n_plus(d2[:, None] * t.U * d2[None, :])
-        else:
-            kappa_lyap = 0
+        # D^2 U D^2 per part: U's inertia, eigenvalues off zero by the elliptic estimate
+        d2 = d_weights(N) ** 2
+        counts = [_ldl_n_plus(d2[m, None] * U * d2[None, m]) for (m, _), U in zip(t.parts, t.Us)]
+        kappa_lyap = None if None in counts else sum(w * c for (_, w), c in zip(t.parts, counts))
         n_plus, _, n_zero, gap = count_half_plane(
-            t.eigenvalues, _sign_band(t.A, t.U, t.residual)
+            t.eigenvalues, _sign_band(t.A, t.blocks, t.residual)
         )
         kappa_schur = int(n_plus)
 
@@ -253,59 +308,54 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
 def cross_validate(cert: Certificate, spec: OperatorSpec):
     """Independent consistency checks for a finished certificate.
 
-    Recounts kappa from Schur diagonals: at 2N the pipeline's own (kept
-    block plus exact axis modes), at N one Schur of A_N.  Each count takes
-    its band from _sign_band: at 2N half the gap the solve certifies (the
-    floor n eps ||A_2N|| when that pencil is singular), at N the floor
-    n eps ||A_N||, since no solve at N is at hand.  Verifies the bound
-    ||(D^2 P_N U P_N D^2)^-1|| <= 2(1+M)/c_N, and the finite Lyapunov
-    floor: the smallest eigenvalue of A_N^H U_N + U_N A_N with U_N the
-    projection of the double-resolution solution must be >= c_N - 1e-6.
+    Recounts kappa from Schur diagonals of the kept block's parts: at 2N
+    the pipeline's own, at N one Schur per part of A_N (the 2N parts cut
+    to |p| <= N).  The 2N band is _sign_band's half certified gap (its
+    floor n eps ||A_2N|| when that pencil is singular), the N band the
+    floor n eps ||A_N||.  n_zero_N and n_zero_2N count eigenvalues inside
+    those bands; kappa_stable needs none, and all three counts equal.
+    Verifies ||(D^2 P_N U P_N D^2)^-1|| <= 2(1+M)/c_N, and the finite
+    Lyapunov floor: the smallest eigenvalue of A_N^H U_N + U_N A_N with U_N
+    the projection of the double-resolution solution must be >= c_N - 1e-6.
     Report-only: returns a dict, raises nothing.
     """
-    N = cert.N_final
-    M = cert.M
+    N, M = cert.N_final, cert.M
     report = {"kappa_cert": cert.kappa_schur}
 
     try:
         t2 = _solve_truncation(spec, 2 * N)
-        ev2 = t2.eigenvalues
-        sel = np.abs(t2.keep - 2 * N) <= N
-        U_N, rows = t2.U[np.ix_(sel, sel)], t2.keep[sel] - N
     except NearSingularPencil as exc:
-        t2, ev2, U_N = exc.truncation, exc.eigenvalues, None
+        t2 = exc.truncation
     A_N = t2.A[N : 3 * N + 1, N : 3 * N + 1]  # modes |p| <= N: exactly P_N A P_N
-    T_N = scipy.linalg.schur(A_N, output="complex")[0]
-    report["kappa_N"] = count_half_plane(np.diagonal(T_N), _sign_band(A_N))[0]
-    ev2 = np.concatenate([ev2, np.diagonal(t2.A)[t2.axis]])  # axis modes: Re exactly 0
-    report["kappa_2N"] = count_half_plane(ev2, _sign_band(t2.A, t2.U, t2.residual))[0]
-    report["kappa_stable"] = report["kappa_N"] == report["kappa_2N"] == cert.kappa_schur
+    sel = [np.abs(m - 2 * N) <= N for m, _ in t2.parts]
+    rows = [m[s] - N for (m, _), s in zip(t2.parts, sel)]
+    T_N = [scipy.linalg.schur(A_N[np.ix_(r, r)], output="complex")[0] for r in rows]
+    ev_N = _expand(t2.parts, map(np.diagonal, T_N))
+    report["kappa_N"], _, report["n_zero_N"], _ = count_half_plane(ev_N, _sign_band(A_N))
+    report["kappa_2N"], _, report["n_zero_2N"], _ = count_half_plane(
+        t2.eigenvalues, _sign_band(t2.A, t2.blocks, t2.residual)
+    )
+    report["kappa_stable"] = report["kappa_N"] == report["kappa_2N"] == cert.kappa_schur and (
+        report["n_zero_N"] == report["n_zero_2N"] == 0)
 
-    report["projection_available"] = U_N is not None
-    if U_N is None:
+    # with no kept mode |p| <= N there is nothing to project
+    report["projection_available"] = t2.Us is not None and any(r.size for r in rows)
+    if not report["projection_available"]:
         return report
 
-    A_sub = A_N[np.ix_(rows, rows)]
-
-    H = A_sub.conj().T @ U_N + U_N @ A_sub
-    H = 0.5 * (H + H.conj().T)
-    lyap_min = float(np.min(np.linalg.eigvalsh(H)))
-    report["lyap_min"] = lyap_min
+    lyap, sing = [], []  # a mirror block's H and X are P's conjugates: same spectra
+    for s, r, U in zip(sel, rows, t2.Us):
+        U_N, A_sub = U[np.ix_(s, s)], A_N[np.ix_(r, r)]
+        H = A_sub.conj().T @ U_N + U_N @ A_sub
+        lyap.append(np.linalg.eigvalsh(0.5 * (H + H.conj().T)))
+        d2 = d_weights(N)[r] ** 2
+        sing.append(np.linalg.svd(d2[:, None] * U_N * d2[None, :], compute_uv=False))
+    report["lyap_min"] = lyap_min = float(np.min(np.concatenate(lyap)))
     report["c_N"] = cert.c_N
-    report["lyap_ok"] = (
-        cert.c_N is not None and lyap_min >= cert.c_N - 1e-6
-    )
-
-    d2 = d_weights(N)[rows] ** 2
-    X = d2[:, None] * U_N * d2[None, :]
-    sing = np.linalg.svd(X, compute_uv=False)
-    inv_norm = 1.0 / float(sing[-1]) if sing[-1] > 0 else math.inf
-    report["inverse_norm"] = inv_norm
-    if cert.c_N is not None and cert.c_N > 0:
-        bound = 2.0 * (1.0 + M) / cert.c_N
-        report["inverse_bound"] = bound
-        report["inverse_ok"] = inv_norm <= bound
-    else:
-        report["inverse_bound"] = None
-        report["inverse_ok"] = None
+    report["lyap_ok"] = cert.c_N is not None and lyap_min >= cert.c_N - 1e-6
+    sigma_min = float(np.min(np.concatenate(sing)))
+    report["inverse_norm"] = inv_norm = 1.0 / sigma_min if sigma_min > 0 else math.inf
+    ok = cert.c_N is not None and cert.c_N > 0
+    report["inverse_bound"] = bound = 2.0 * (1.0 + M) / cert.c_N if ok else None
+    report["inverse_ok"] = inv_norm <= bound if ok else None
     return report

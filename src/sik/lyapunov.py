@@ -121,12 +121,15 @@ def _sign_band(A: np.ndarray, U=None, residual=None) -> float:
 
     With a solve A^H U + U A = I + R, ||R||_2 <= residual sqrt(n) < 1,
     every eigenvalue of A has |Re l| >= (1 - ||R||) / (2 ||U||) (Ostrowski
-    & Schneider, JMAA 4, 1962): the band is half that certified gap.
-    Without one, it is the backward-error floor n eps ||A||.
+    & Schneider, JMAA 4, 1962): the band is half that certified gap; a
+    block-diagonal U may come as the list of its diagonal blocks.  Without
+    one, it is the backward-error floor n eps ||A||.
     """
-    if U is not None and U.size:
-        slack = 1.0 - residual * math.sqrt(U.shape[0])
-        u_fro = float(np.linalg.norm(U))
+    blocks = [U] if isinstance(U, np.ndarray) else list(U or ())
+    n = sum(b.shape[0] for b in blocks)
+    if n:
+        slack = 1.0 - residual * math.sqrt(n)
+        u_fro = math.sqrt(sum(float(np.linalg.norm(b)) ** 2 for b in blocks))
         if slack > 0.0 and u_fro > 0.0:
             return 0.25 * slack / u_fro
     return A.shape[0] * np.finfo(float).eps * _matrix_scale(A)
@@ -186,7 +189,7 @@ def _solve_lyapunov(trsyl, T, Y):
     Y[h:, :h] = Y12.conj().T
 
 
-def solve_lyapunov_core(A: np.ndarray):
+def solve_lyapunov_core(A: np.ndarray, whole=None):
     """Solve A^H U + U A = I for a raw square matrix.
 
     One complex Schur decomposition plus the blocked triangular solve
@@ -197,6 +200,8 @@ def solve_lyapunov_core(A: np.ndarray):
     Raises NearSingularPencil when pair_min <= _PENCIL_TOL * ||A||, i.e.
     when the spectrum (nearly) touches the imaginary axis, and warns when
     the residual exceeds _RESIDUAL_TOL.  Both are fixed module constants.
+    For a decoupled diagonal block A of ``whole``, ||whole|| scales the
+    pencil test: solving by blocks must not move the axis verdict.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
@@ -205,7 +210,7 @@ def solve_lyapunov_core(A: np.ndarray):
     T, Z = scipy.linalg.schur(A, output="complex")
     ev = np.diag(T).copy()
     pair_min = float(np.abs(ev[:, None] + ev[None, :].conj()).min())
-    tol = _PENCIL_TOL * _matrix_scale(A)
+    tol = _PENCIL_TOL * _matrix_scale(A if whole is None else whole)
     if pair_min <= tol:
         raise NearSingularPencil(
             f"eigenvalue pair sum {pair_min:.3e} <= tolerance {tol:.3e}: "

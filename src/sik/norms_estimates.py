@@ -113,17 +113,22 @@ def estimate_triple_U_kept(U: np.ndarray, keep: np.ndarray, N: int, M: float) ->
     outside keep zero: no equation constrains them.  The kernel view is W
     with its columns reversed, which leaves sigma_max alone; handing over
     that reversed view gives LAPACK the kernel view's array bit for bit.
+    U and keep may also list decoupled diagonal blocks of U and their modes:
+    sigma_max is the largest block's, each W on its modes' range of p.
     """
+    if isinstance(U, np.ndarray):
+        U, keep = [U], [keep]
 
-    def lambda_max():
+    def sigma_max(U, keep):
+        lo, hi = keep.min(), keep.max() + 1
         X = U / _TWO_PI
         X[np.diag_indices_from(X)] -= green_kernel(N).diag_coeffs[keep]
-        W = np.zeros((2 * N + 1, 2 * N + 1))
-        W[np.ix_(keep, keep)] = np.abs(X)
-        W *= _weights(N)
-        return _TWO_PI * _sigma_max(W[:, ::-1])
+        W = np.zeros((hi - lo, hi - lo))
+        W[np.ix_(keep - lo, keep - lo)] = np.abs(X)
+        W *= _weights(N)[lo:hi, lo:hi]
+        return _sigma_max(W[:, ::-1])
 
-    return _tail_report(N, M, lambda_max)
+    return _tail_report(N, M, lambda: _TWO_PI * max(map(sigma_max, U, keep), default=0.0))
 
 
 def tail_bound(M: float, N: int, tripleU: float) -> float:

@@ -31,7 +31,11 @@ from sik import (
     dispersion_index,
     tp_derivative,
 )
-from sik.certify import exact_axis_split
+from sik.certify import _mirror_split, _solve_truncation, exact_axis_split
+from sik.errors import NearSingularPencil
+from sik.index import _ldl_n_plus
+from sik.lyapunov import solve_lyapunov_core
+from sik.operator_assembly import d_weights
 
 
 def constant_spec(a0, b0, c0):
@@ -190,9 +194,10 @@ def test_benilov_stable_windows_certify():
 
 
 def test_benilov_certificate_frozen():
-    # alpha = (0, 1, 0.05) solves n = 352 kept modes, so the blocked
-    # triangular solve decides this certificate; values frozen from the
-    # unblocked whole-matrix trsyl route
+    # alpha = (0, 1, 0.05) solves a mirror pair of 176 kept modes each, so
+    # the blocked triangular solve decides this certificate; values frozen
+    # from the unblocked whole-matrix trsyl route, axis_gap from the half
+    # block p <= -2
     cert = certified_index(benilov_coefficients(0.0, 1.0, 0.05))
     assert cert.spec_digest == (
         "e6a4ef22dae9ddfa72f2a759ac4cf06406e3fde299397fe44cd9b0da8dc2d02a"
@@ -203,7 +208,7 @@ def test_benilov_certificate_frozen():
     assert (cert.cond1_ok, cert.cond2_ok) == (True, True)
     assert cert.M == 62.0
     assert cert.delta_N == 0.001978997095342973
-    assert cert.axis_gap == 32.889202758160295
+    assert cert.axis_gap == 32.88920275816048
     assert cert.tripleU_upper == pytest.approx(29.10872386941123, rel=1e-12)
     assert cert.residual <= 1e-13
 
@@ -275,7 +280,9 @@ def test_cross_validation_report_frozen():
     assert report == {
         "kappa_cert": 2,
         "kappa_N": 2,
+        "n_zero_N": 0,
         "kappa_2N": 2,
+        "n_zero_2N": 0,
         "kappa_stable": True,
         "projection_available": True,
         "lyap_ok": True,
@@ -288,17 +295,31 @@ def test_cross_validation_touch_axis_counts():
     # the 2N solve meets a singular pencil, so kappa_2N comes from the
     # eigenvalues the exception carries; both recounts use the floor
     # n eps ||A|| (1.2e-4 at N), which keeps the Schur eigenvalues of A_N
-    # within 1e-8 of the axis inside the band
+    # within 1e-8 of the axis inside the band: their signs are undecided,
+    # so the counts are not stable although they agree
     spec = benilov_coefficients(1e-8, 1.0, 0.02)
     cert = certified_index(spec, CertifyOptions(max_N=192))
     assert cert.status == "SpectraTouchAxis"
     assert cross_validate(cert, spec) == {
         "kappa_cert": 4,
         "kappa_N": 4,
+        "n_zero_N": 2,
         "kappa_2N": 4,
-        "kappa_stable": True,
+        "n_zero_2N": 2,
+        "kappa_stable": False,
         "projection_available": False,
     }
+
+
+def run_one_blas_thread(code):
+    """JSON printed by code, run in a fresh interpreter with one OpenBLAS thread."""
+    src = os.path.dirname(os.path.dirname(sik.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(run.stdout)
 
 
 def test_cross_validation_touch_axis_counts_one_blas_thread():
@@ -313,19 +334,15 @@ def test_cross_validation_touch_axis_counts_one_blas_thread():
         "cert = certified_index(spec, CertifyOptions(max_N=192))\n"
         "print(json.dumps([cert.status, cross_validate(cert, spec)]))\n"
     )
-    src = os.path.dirname(os.path.dirname(sik.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    status, report = json.loads(run.stdout)
+    status, report = run_one_blas_thread(code)
     assert status == "SpectraTouchAxis"
     assert report == {
         "kappa_cert": 4,
         "kappa_N": 4,
+        "n_zero_N": 2,
         "kappa_2N": 4,
-        "kappa_stable": True,
+        "n_zero_2N": 2,
+        "kappa_stable": False,
         "projection_available": False,
     }
 
@@ -459,3 +476,190 @@ def test_one_truncated_solve_pipeline():
         if "def _sign_band(" in inspect.getsource(importlib.import_module("sik." + name))
     ]
     assert defined == ["lyapunov"]
+
+
+# the Benilov kept blocks checked for their mirror pair: film at its final
+# N, alpha = (0, 1, 0.05) at N and 2N, and two alpha1 != 0 specs
+MIRROR_SPECS = [
+    ((0.0, 1.0, 0.02), 478),
+    ((0.0, 1.0, 0.05), 177),
+    ((0.0, 1.0, 0.05), 354),
+    ((0.01, 1.0, 0.1), 192),
+    ((0.5, 1.0, 0.07), 192),
+]
+
+
+@pytest.mark.parametrize("alpha, N", MIRROR_SPECS)
+def test_mirror_split_pairs_benilov_kept_block(alpha, N):
+    # real coefficients give A[-p,-q] = conj(A[p,q]); once the axis modes
+    # are peeled, nothing joins p <= -k to p >= k (k = 2 for alpha1 = 0,
+    # else 1), so the kept block is those two halves, exact mirror images
+    A = assemble_A(benilov_coefficients(*alpha), N).entries
+    keep, _ = exact_axis_split(A)
+    P, S = _mirror_split(A, keep)
+    k = 2 if alpha[0] == 0.0 else 1
+    assert (P - N).tolist() == list(range(-N, 1 - k)) and S.size == 0
+    Q = 2 * N - P
+    assert np.array_equal(np.sort(np.concatenate([P, Q])), keep)
+    assert np.array_equal(A[np.ix_(P, P)].conj(), A[np.ix_(Q, Q)])
+    assert not A[np.ix_(P, Q)].any() and not A[np.ix_(Q, P)].any()
+
+
+def test_mirror_split_keeps_components_whole():
+    # a conjugate-symmetric diagonal and one coupling of p = -N to p = 0
+    # alone: conj(A[P, P]) == A[P', P'] holds for P = {p < 0}, but that P
+    # would cut the component {-N, 0}, so the kept block stays whole
+    N = 30
+    p = np.arange(-N, N + 1)
+    A = np.diag(-(1.0 + p**2) + 1j * p)
+    A[0, N] = A[N, 0] = 1.0
+    keep = np.arange(2 * N + 1)
+    P, S = _mirror_split(A, keep)
+    assert P.size == 0 and np.array_equal(S, keep)
+    # the mirror coupling of p = N to p = 0 makes {-N, 0, N} self-mirror
+    A[2 * N, N] = A[N, 2 * N] = 1.0
+    P, S = _mirror_split(A, keep)
+    assert (P - N).tolist() == list(range(1 - N, 0)) and (S - N).tolist() == [-N, 0, N]
+
+
+@pytest.mark.parametrize(
+    "spec, N", [(benilov_coefficients(0.0, 1.0, 0.05), 177), (constant_spec(0.0, 0.0, 0.01), 32)]
+)
+def test_split_lambda_max_is_the_larger_part(spec, N):
+    # W is block-diagonal up to a permutation, the mirror block's W is P's
+    # reversed; for c = 0.01 the mode-0 part S holds the largest entry
+    t = _solve_truncation(spec, N)
+    M = sik.constant_M(spec)
+    whole = sik.certify.estimate_triple_U_kept(t.U, t.keep, N, M).tripleU_upper
+    assert sik.certify._tripleU_upper(t, M) == pytest.approx(whole, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha, N", [((0.0, 1.0, 0.05), 177), ((0.0, 1.0, 0.02), 60), ((0.01, 1.0, 0.1), 96)]
+)
+def test_split_solve_matches_whole_block_solve(alpha, N):
+    # one solve on the half block p <= -k stands for the whole kept block
+    t = _solve_truncation(benilov_coefficients(*alpha), N)
+    ((P, weight),) = t.parts
+    assert weight == 2
+    K = t.A[np.ix_(t.keep, t.keep)]
+    U, ev, residual, _ = solve_lyapunov_core(K)
+    half = np.isin(t.keep, P)
+    # the whole solve's U is already exactly zero between the halves
+    assert not U[np.ix_(half, ~half)].any() and not t.U[np.ix_(half, ~half)].any()
+    assert np.linalg.norm(t.U - U) <= 1e-11 * np.linalg.norm(U)
+    dist = np.abs(t.eigenvalues[:, None] - ev[None, :])
+    assert np.max(dist.min(axis=0) / np.abs(ev)) <= 1e-11
+    assert np.max(dist.min(axis=1) / np.abs(t.eigenvalues)) <= 1e-11
+    # the residual is the assembled U's in the whole equation; R is rounding
+    # noise, so two products of it agree in their leading digit only (a
+    # mirror pair counted once would be off by sqrt 2)
+    R = K.conj().T @ t.U + t.U @ K - np.eye(K.shape[0])
+    whole_residual = np.linalg.norm(R) / np.sqrt(K.shape[0])
+    assert t.residual == pytest.approx(whole_residual, rel=0.05, abs=0.0)
+    assert max(t.residual, residual) <= 1e-11
+    # the sign band keeps the whole-U formula, ||U||_F^2 = 2 ||U_P||_F^2
+    band = sik.certify._sign_band(t.A, t.blocks, t.residual)
+    assert band == pytest.approx(sik.certify._sign_band(t.A, t.U, whole_residual), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, N",
+    [(benilov_coefficients(*alpha), N) for alpha, N in MIRROR_SPECS[1:]]
+    + [(constant_spec(10.0, 1.0, 5.0), 24), (constant_spec(-4.0, 3.0, -0.5), 40)],
+)
+def test_part_inertia_counts_add_up_to_whole_block(spec, N):
+    # 2 kappa(P) + kappa(S) is the LDL^H count of the whole kept block's
+    # D^2 U D^2; constant coefficients put mode 0 alone into S
+    t = _solve_truncation(spec, N)
+    assert t.parts[0][1] == 2
+    d2 = d_weights(N) ** 2
+    U = solve_lyapunov_core(t.A[np.ix_(t.keep, t.keep)])[0]
+    whole = _ldl_n_plus(d2[t.keep, None] * U * d2[None, t.keep])
+    parts = [w * _ldl_n_plus(d2[m, None] * V * d2[None, m]) for (m, w), V in zip(t.parts, t.Us)]
+    assert whole is not None and sum(parts) == whole
+
+
+def test_unpaired_kept_block_takes_single_solve(monkeypatch):
+    # a self-mirror Fourier block (c = 1 joins mode 0 to the rest), the
+    # film truncation with c + 0.5i, a complex coefficient (OperatorSpec
+    # refuses it) whose halves still split but are no longer conjugates,
+    # and a film kept block of 38 <= _SPLIT_MIN modes: each runs the one
+    # whole-block solve, bit for bit
+    def complex_c(spec, N):
+        A = assemble_A(spec, N)
+        A.entries[np.diag_indices(2 * N + 1)] += 0.5j
+        return A
+
+    a = TrigPoly.from_nonneg_modes([(1, -0.5j)])
+    self_mirror = OperatorSpec(a=a, b=TrigPoly.zero(), c=TrigPoly.constant(1.0))
+    film = benilov_coefficients(0.0, 1.0, 0.02)
+    cases = ((self_mirror, assemble_A, 60), (film, complex_c, 60), (film, assemble_A, 20))
+    for spec, assemble, N in cases:
+        monkeypatch.setattr(sik.certify, "assemble_A", assemble)
+        t = _solve_truncation(spec, N)
+        ((S, weight),) = t.parts
+        assert weight == 1 and np.array_equal(S, t.keep)
+        U, ev, residual, _ = solve_lyapunov_core(t.A[t.keep][:, t.keep])
+        assert np.array_equal(t.U, U) and np.array_equal(t.eigenvalues, ev)
+        assert t.residual == residual
+
+
+@pytest.mark.filterwarnings("ignore:Lyapunov residual")
+def test_singular_part_reports_whole_kept_block():
+    # c = 1e-12 puts mode 0, alone in S, a hair off the axis, while the pair
+    # p = -24..-1 solves; the exception still carries all 49 kept
+    # eigenvalues, so the six unstable modes p = +-1, +-2, +-3 of a = 10
+    # are all counted
+    spec = constant_spec(10.0, 0.0, 1e-12)
+    with pytest.raises(NearSingularPencil) as info:
+        _solve_truncation(spec, 24)
+    t = info.value.truncation
+    assert [w for _, w in t.parts] == [2, 1]
+    assert info.value.eigenvalues.size == t.keep.size == 49
+    assert np.sum(info.value.eigenvalues.real > 0.0) == 6
+    # at N = 8, and at the report's 2N = 16, the small kept block is solved whole
+    cert = certified_index(spec)
+    assert (cert.status, cert.kappa_schur, cert.N_final) == ("SpectraTouchAxis", 6, 8)
+    assert cross_validate(cert, spec) == {
+        "kappa_cert": 6,
+        "kappa_N": 6,
+        "n_zero_N": 1,
+        "kappa_2N": 6,
+        "n_zero_2N": 1,
+        "kappa_stable": False,
+        "projection_available": False,
+    }
+
+
+@pytest.mark.filterwarnings("ignore:Lyapunov residual")
+@pytest.mark.parametrize("alpha1", [1e-4, 1e-2])
+def test_near_decoupled_film_condition_not_met_at_cap(alpha1):
+    # eigenvalues 5e-5 to 5e-3 from the axis: |||U||| ~ 1/gap keeps
+    # condition 2 out of reach at N = 512, and both counts still read 4
+    cert = certified_index(benilov_coefficients(alpha1, 1.0, 0.02))
+    assert cert.status == "ConditionNotMet"
+    assert (cert.N_final, cert.n_axis, cert.kappa_schur, cert.kappa_lyapunov) == (512, 1, 4, 4)
+    assert (cert.cond1_ok, cert.cond2_ok) == (False, False)
+
+
+def test_certify_validate_one_blas_thread():
+    # half blocks fall into the sizes where OpenBLAS's second thread changes
+    # rounding: one thread must give the same discrete fields and report
+    code = (
+        "import json\n"
+        "from sik import benilov_coefficients, certified_index, cross_validate\n"
+        "spec = benilov_coefficients(0.0, 1.0, 0.05)\n"
+        "cert = certified_index(spec)\n"
+        "print(json.dumps([cert.to_json_dict(), cross_validate(cert, spec)]))\n"
+    )
+    got, got_report = run_one_blas_thread(code)
+    spec = benilov_coefficients(0.0, 1.0, 0.05)
+    cert = certified_index(spec)
+    report = cross_validate(cert, spec)
+    discrete = ("status", "kappa_schur", "kappa_lyapunov", "N_final", "n_axis")
+    discrete += ("cond1_ok", "cond2_ok")
+    assert {key: got[key] for key in discrete} == {key: getattr(cert, key) for key in discrete}
+    for key in ("lyap_min", "c_N", "inverse_norm", "inverse_bound"):
+        assert got_report.pop(key) == pytest.approx(report.pop(key), rel=1e-12), key
+    assert got_report == report

@@ -39,7 +39,7 @@ import scipy.sparse.csgraph
 
 from .errors import DeltaTooLarge, NearSingularPencil
 from .index import _ldl_n_plus, count_half_plane
-from .lyapunov import _RESIDUAL_TOL, _sign_band, solve_lyapunov_core
+from .lyapunov import _RESIDUAL_TOL, _serial_blas, _sign_band, solve_lyapunov_core
 from .norms_estimates import estimate_triple_U_kept
 from .operator_assembly import OperatorSpec, assemble_A, constant_M, d_weights
 
@@ -175,6 +175,11 @@ class _Truncation:
         """The diagonal blocks of U, a mirror pair's once per side."""
         return [U for (_, w), U in zip(self.parts, self.Us or ()) for _ in range(w)]
 
+    @property
+    def largest(self) -> int:
+        """The largest part's modes: the order of every dense kernel on it."""
+        return max((m.size for m, _ in self.parts), default=0)
+
 
 def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
     """Assemble P_N A P_N, peel its axis modes, solve the kept block's parts.
@@ -257,7 +262,15 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
                 timestamp=_now(),
             )
 
-        tripleU_upper = _tripleU_upper(t, M)
+        with _serial_blas(t.largest):
+            tripleU_upper = _tripleU_upper(t, M)
+            # D^2 U D^2 per part: U's inertia, eigenvalues off zero by the elliptic estimate
+            d2 = d_weights(N) ** 2
+            counts = [_ldl_n_plus(d2[m, None] * U * d2[None, m])
+                      for (m, _), U in zip(t.parts, t.Us)]
+            n_plus, _, n_zero, gap = count_half_plane(
+                t.eigenvalues, _sign_band(t.A, t.blocks, t.residual)
+            )
         if tripleU_upper is not None:
             cond1 = float(N) ** 2 > M * tripleU_upper
             cond2 = float(N) ** 2 > M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper
@@ -266,13 +279,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             cond1 = cond2 = False
             c_N = None
 
-        # D^2 U D^2 per part: U's inertia, eigenvalues off zero by the elliptic estimate
-        d2 = d_weights(N) ** 2
-        counts = [_ldl_n_plus(d2[m, None] * U * d2[None, m]) for (m, _), U in zip(t.parts, t.Us)]
         kappa_lyap = None if None in counts else sum(w * c for (_, w), c in zip(t.parts, counts))
-        n_plus, _, n_zero, gap = count_half_plane(
-            t.eigenvalues, _sign_band(t.A, t.blocks, t.residual)
-        )
         kappa_schur = int(n_plus)
 
         cert = Certificate(
@@ -326,36 +333,38 @@ def cross_validate(cert: Certificate, spec: OperatorSpec):
         t2 = _solve_truncation(spec, 2 * N)
     except NearSingularPencil as exc:
         t2 = exc.truncation
-    A_N = t2.A[N : 3 * N + 1, N : 3 * N + 1]  # modes |p| <= N: exactly P_N A P_N
-    sel = [np.abs(m - 2 * N) <= N for m, _ in t2.parts]
-    rows = [m[s] - N for (m, _), s in zip(t2.parts, sel)]
-    T_N = [scipy.linalg.schur(A_N[np.ix_(r, r)], output="complex")[0] for r in rows]
-    ev_N = _expand(t2.parts, map(np.diagonal, T_N))
-    report["kappa_N"], _, report["n_zero_N"], _ = count_half_plane(ev_N, _sign_band(A_N))
-    report["kappa_2N"], _, report["n_zero_2N"], _ = count_half_plane(
-        t2.eigenvalues, _sign_band(t2.A, t2.blocks, t2.residual)
-    )
-    report["kappa_stable"] = report["kappa_N"] == report["kappa_2N"] == cert.kappa_schur and (
-        report["n_zero_N"] == report["n_zero_2N"] == 0)
+    with _serial_blas(t2.largest):
+        A_N = t2.A[N : 3 * N + 1, N : 3 * N + 1]  # modes |p| <= N: exactly P_N A P_N
+        sel = [np.abs(m - 2 * N) <= N for m, _ in t2.parts]
+        rows = [m[s] - N for (m, _), s in zip(t2.parts, sel)]
+        T_N = [scipy.linalg.schur(A_N[np.ix_(r, r)], output="complex")[0] for r in rows]
+        ev_N = _expand(t2.parts, map(np.diagonal, T_N))
+        report["kappa_N"], _, report["n_zero_N"], _ = count_half_plane(ev_N, _sign_band(A_N))
+        report["kappa_2N"], _, report["n_zero_2N"], _ = count_half_plane(
+            t2.eigenvalues, _sign_band(t2.A, t2.blocks, t2.residual)
+        )
+        report["kappa_stable"] = (
+            report["kappa_N"] == report["kappa_2N"] == cert.kappa_schur
+            and report["n_zero_N"] == report["n_zero_2N"] == 0)
 
-    # with no kept mode |p| <= N there is nothing to project
-    report["projection_available"] = t2.Us is not None and any(r.size for r in rows)
-    if not report["projection_available"]:
+        # with no kept mode |p| <= N there is nothing to project
+        report["projection_available"] = t2.Us is not None and any(r.size for r in rows)
+        if not report["projection_available"]:
+            return report
+
+        lyap, sing = [], []  # a mirror block's H and X are P's conjugates: same spectra
+        for s, r, U in zip(sel, rows, t2.Us):
+            U_N, A_sub = U[np.ix_(s, s)], A_N[np.ix_(r, r)]
+            H = A_sub.conj().T @ U_N + U_N @ A_sub
+            lyap.append(np.linalg.eigvalsh(0.5 * (H + H.conj().T)))
+            d2 = d_weights(N)[r] ** 2
+            sing.append(np.linalg.svd(d2[:, None] * U_N * d2[None, :], compute_uv=False))
+        report["lyap_min"] = lyap_min = float(np.min(np.concatenate(lyap)))
+        report["c_N"] = cert.c_N
+        report["lyap_ok"] = cert.c_N is not None and lyap_min >= cert.c_N - 1e-6
+        sigma_min = float(np.min(np.concatenate(sing)))
+        report["inverse_norm"] = inv_norm = 1.0 / sigma_min if sigma_min > 0 else math.inf
+        ok = cert.c_N is not None and cert.c_N > 0
+        report["inverse_bound"] = bound = 2.0 * (1.0 + M) / cert.c_N if ok else None
+        report["inverse_ok"] = inv_norm <= bound if ok else None
         return report
-
-    lyap, sing = [], []  # a mirror block's H and X are P's conjugates: same spectra
-    for s, r, U in zip(sel, rows, t2.Us):
-        U_N, A_sub = U[np.ix_(s, s)], A_N[np.ix_(r, r)]
-        H = A_sub.conj().T @ U_N + U_N @ A_sub
-        lyap.append(np.linalg.eigvalsh(0.5 * (H + H.conj().T)))
-        d2 = d_weights(N)[r] ** 2
-        sing.append(np.linalg.svd(d2[:, None] * U_N * d2[None, :], compute_uv=False))
-    report["lyap_min"] = lyap_min = float(np.min(np.concatenate(lyap)))
-    report["c_N"] = cert.c_N
-    report["lyap_ok"] = cert.c_N is not None and lyap_min >= cert.c_N - 1e-6
-    sigma_min = float(np.min(np.concatenate(sing)))
-    report["inverse_norm"] = inv_norm = 1.0 / sigma_min if sigma_min > 0 else math.inf
-    ok = cert.c_N is not None and cert.c_N > 0
-    report["inverse_bound"] = bound = 2.0 * (1.0 + M) / cert.c_N if ok else None
-    report["inverse_ok"] = inv_norm <= bound if ok else None
-    return report

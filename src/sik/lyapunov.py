@@ -9,11 +9,17 @@ estimates downstream.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.linalg
 
 from .errors import NearSingularPencil
@@ -150,6 +156,56 @@ _RESIDUAL_TOL = 1e-8
 _TRSYL_BLOCK = 64
 
 
+# On a 2-core x86-64 machine OpenBLAS's second thread loses below ~700 modes,
+# erratically: a 64 x 64 complex product takes 0.05 ms on one thread and, at
+# p90, 16 ms on two; a solve at n = 255 89-98 ms against 139-224 ms.  At
+# n = 954 two threads win (1.42-1.68 s against 1.74-1.82 s).
+_SERIAL_MAX = 640
+
+
+def _openblas_calls():
+    """(get, set) thread-count calls of the OpenBLAS numpy and scipy wheels
+    bundle; with none found, _serial_blas changes nothing."""
+    calls = []
+    for pkg in (np, scipy):
+        libs = os.path.dirname(pkg.__file__) + ".libs"  # numpy.libs, scipy.libs
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            lib = ctypes.CDLL(path)
+            names = [f"{p}_{{}}_num_threads{s}" for p in ("scipy_openblas", "openblas")
+                     for s in ("64_", "")]
+            calls += [(getattr(lib, n.format("get")), getattr(lib, n.format("set")))
+                      for n in names if hasattr(lib, n.format("get"))]
+    return calls
+
+
+class _OneBlasThread:
+    """Holds the bundled OpenBLAS at one thread while any caller is inside,
+    in whichever thread; the last to leave puts the counts back.  Meanwhile
+    every BLAS call in the process runs serially."""
+
+    lock, holders, saved, calls = threading.Lock(), 0, [], _openblas_calls()
+
+    def __enter__(self):
+        with self.lock:
+            if _OneBlasThread.holders == 0:
+                _OneBlasThread.saved = [get() for get, _ in self.calls]
+                for _, put in self.calls:
+                    put(1)
+            _OneBlasThread.holders += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            _OneBlasThread.holders -= 1
+            if _OneBlasThread.holders == 0:
+                for (_, put), threads in zip(self.calls, self.saved):
+                    put(threads)
+
+
+def _serial_blas(n: int):
+    """One BLAS thread for dense work on blocks of n <= _SERIAL_MAX modes."""
+    return _OneBlasThread() if n <= _SERIAL_MAX else contextlib.nullcontext()
+
+
 def _solve_sylvester(trsyl, A, B, X):
     """Overwrite X = C by the solution of A^H X + X B = C (A, B upper
     triangular), split along X's larger dimension down to trsyl blocks."""
@@ -207,44 +263,45 @@ def solve_lyapunov_core(A: np.ndarray, whole=None):
     n = A.shape[0]
     if n == 0:  # every mode was peeled onto the axis: nothing to solve
         return np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex), 0.0, math.inf
-    T, Z = scipy.linalg.schur(A, output="complex")
-    ev = np.diag(T).copy()
-    pair_min = float(np.abs(ev[:, None] + ev[None, :].conj()).min())
-    tol = _PENCIL_TOL * _matrix_scale(A if whole is None else whole)
-    if pair_min <= tol:
-        raise NearSingularPencil(
-            f"eigenvalue pair sum {pair_min:.3e} <= tolerance {tol:.3e}: "
-            "spectrum touches the imaginary axis within tolerance",
-            eigenvalues=ev,
-            pair_min=pair_min,
-            tol=tol,
-        )
-    (lapack_trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T, T))
-    Y = np.eye(n, dtype=complex)
-    scale = 1.0
+    with _serial_blas(n):
+        T, Z = scipy.linalg.schur(A, output="complex")
+        ev = np.diag(T).copy()
+        pair_min = float(np.abs(ev[:, None] + ev[None, :].conj()).min())
+        tol = _PENCIL_TOL * _matrix_scale(A if whole is None else whole)
+        if pair_min <= tol:
+            raise NearSingularPencil(
+                f"eigenvalue pair sum {pair_min:.3e} <= tolerance {tol:.3e}: "
+                "spectrum touches the imaginary axis within tolerance",
+                eigenvalues=ev,
+                pair_min=pair_min,
+                tol=tol,
+            )
+        (lapack_trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T, T))
+        Y = np.eye(n, dtype=complex)
+        scale = 1.0
 
-    def trsyl(T1, T2, C):
-        nonlocal Y, scale
-        X, block_scale, info = lapack_trsyl(T1, T2, C, trana="C", tranb="N", isgn=1)
-        if info < 0:
-            raise RuntimeError(f"trsyl failed with info={info}")
-        if info == 1:
-            # solved only after perturbing near-common eigenvalues: same failure
-            # mode the pencil test guards, reached through rounding
-            raise NearSingularPencil("triangular Sylvester solve required perturbation",
-                                     eigenvalues=ev, pair_min=pair_min, tol=tol)
-        if block_scale != 1.0:
-            Y *= block_scale  # all of Y is linear in the right-hand side
-            scale *= block_scale
-        return X
+        def trsyl(T1, T2, C):
+            nonlocal Y, scale
+            X, block_scale, info = lapack_trsyl(T1, T2, C, trana="C", tranb="N", isgn=1)
+            if info < 0:
+                raise RuntimeError(f"trsyl failed with info={info}")
+            if info == 1:
+                # solved only after perturbing near-common eigenvalues: same failure
+                # mode the pencil test guards, reached through rounding
+                raise NearSingularPencil("triangular Sylvester solve required perturbation",
+                                         eigenvalues=ev, pair_min=pair_min, tol=tol)
+            if block_scale != 1.0:
+                Y *= block_scale  # all of Y is linear in the right-hand side
+                scale *= block_scale
+            return X
 
-    _solve_lyapunov(trsyl, T, Y)
-    U = Z @ (Y / scale) @ Z.conj().T
-    U = 0.5 * (U + U.conj().T)
-    R = U @ A  # U is exactly Hermitian, so A^H U + U A = R + R^H
-    R += R.conj().T
-    R -= np.eye(n)
-    residual = float(np.linalg.norm(R)) / math.sqrt(n)
+        _solve_lyapunov(trsyl, T, Y)
+        U = Z @ (Y / scale) @ Z.conj().T
+        U = 0.5 * (U + U.conj().T)
+        R = U @ A  # U is exactly Hermitian, so A^H U + U A = R + R^H
+        R += R.conj().T
+        R -= np.eye(n)
+        residual = float(np.linalg.norm(R)) / math.sqrt(n)
     if residual > _RESIDUAL_TOL:
         warnings.warn(
             f"Lyapunov residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}; "

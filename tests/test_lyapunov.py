@@ -6,6 +6,7 @@ the closed hyperbolic-trigonometric form of the free kernel for the
 coefficient series."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -279,3 +280,45 @@ def test_blocked_solver_on_diagonal_schur_form():
     assert np.array_equal(U, np.diag(np.diag(U)))
     assert np.allclose(np.diag(U), exact, rtol=1e-14, atol=0.0)
     assert residual < 1e-14
+
+
+def test_serial_blas_pins_one_thread_and_restores(monkeypatch):
+    # a solve on at most _SERIAL_MAX modes runs on one OpenBLAS thread; a
+    # larger block leaves the count alone, and the count comes back only
+    # when the last holder, in whichever thread, leaves
+    libs = sik.lyapunov._OneBlasThread.calls
+    if not libs:
+        pytest.skip("numpy and scipy bundle no OpenBLAS")
+
+    def counts():
+        return [get() for get, _ in libs]
+
+    before, serial = counts(), [1] * len(libs)
+    seen, schur = [], scipy.linalg.schur
+
+    def spy(*args, **kwargs):
+        seen.append(counts())
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    solve_lyapunov_core(stable_random(np.random.default_rng(5), 40))
+    assert seen == [serial] and counts() == before
+    with sik.lyapunov._serial_blas(sik.lyapunov._SERIAL_MAX + 1):
+        assert counts() == before
+
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with sik.lyapunov._serial_blas(10):
+            entered.set()
+            release.wait(10)
+
+    worker = threading.Thread(target=hold)
+    worker.start()
+    entered.wait(10)
+    with sik.lyapunov._serial_blas(sik.lyapunov._SERIAL_MAX):
+        assert counts() == serial
+    assert counts() == serial  # the worker still holds it
+    release.set()
+    worker.join()
+    assert counts() == before

@@ -6,7 +6,9 @@ the closed hyperbolic-trigonometric form of the free kernel for the
 coefficient series."""
 
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -315,10 +317,41 @@ def test_serial_blas_pins_one_thread_and_restores(monkeypatch):
 
     worker = threading.Thread(target=hold)
     worker.start()
-    entered.wait(10)
+    assert entered.wait(10)
     with sik.lyapunov._serial_blas(sik.lyapunov._SERIAL_MAX):
         assert counts() == serial
     assert counts() == serial  # the worker still holds it
     release.set()
-    worker.join()
-    assert counts() == before
+    worker.join(10)
+    assert not worker.is_alive() and counts() == before
+
+
+def test_serial_blas_holders_under_thread_stress():
+    # four threads, on two cores, enter and leave in a tight loop with a
+    # short switch interval: a lost update of the holder count would put
+    # the thread counts back while a holder is still inside, or not at all
+    libs = sik.lyapunov._OneBlasThread.calls
+    if not libs:
+        pytest.skip("numpy and scipy bundle no OpenBLAS")
+    before, wrong = [get() for get, _ in libs], []
+
+    def churn():
+        for _ in range(2000):
+            with sik.lyapunov._serial_blas(10):
+                if any(get() != 1 for get, _ in libs):
+                    wrong.append(1)
+            time.sleep(0)  # let the holder count fall to 0 now and then
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not wrong and sik.lyapunov._OneBlasThread.holders == 0
+    assert [get() for get, _ in libs] == before

@@ -15,7 +15,6 @@ the plain L^2 norms in both cases.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -195,8 +194,6 @@ def kernel2d_sobolev_norm(F: Kernel2D, s: float) -> float:
 
 _LEIBNITZ_CACHE = None
 
-LEIBNITZ_ENV_VAR = "SIK_LEIBNITZ_CONST"
-
 
 def _leibnitz_series():
     # S = sum over all integers of (1+p^4)^{-1/2}, with the tail |p| > P
@@ -212,16 +209,8 @@ def leibnitz_constant() -> float:
     """Constant C in ||a phi||_{L^2} <= C ||a||_{H^1} ||phi||_{L^2}.
 
     Default is (S/(2 pi))^{1/2} with S = sum_p (1+p^4)^{-1/2} summed with a
-    rigorous integral tail bound.  The environment variable
-    SIK_LEIBNITZ_CONST overrides the value (expert use: reproducing runs
-    made with a smaller published constant).
+    rigorous integral tail bound.
     """
-    override = os.environ.get(LEIBNITZ_ENV_VAR)
-    if override is not None:
-        value = float(override)
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{LEIBNITZ_ENV_VAR} must be positive and finite")
-        return value
     global _LEIBNITZ_CACHE
     if _LEIBNITZ_CACHE is None:
         _LEIBNITZ_CACHE = _leibnitz_series()

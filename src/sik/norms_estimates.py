@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DeltaTooLarge
 from .fourier_core import Kernel2D
@@ -33,9 +32,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# dense SVD up to this matrix size; power iteration beyond
-_DENSE_SVD_LIMIT = 1025
-
 
 def _weights(N: int) -> np.ndarray:
     p = np.arange(-N, N + 1).astype(float)
@@ -50,8 +46,6 @@ def _sigma_max(W: np.ndarray) -> float:
     nz = W != 0
     if nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1:
         return float(np.abs(W).max())  # a permuted diagonal: its entries are its singular values
-    if W.shape[0] <= _DENSE_SVD_LIMIT:
-        return float(scipy.linalg.svdvals(W)[0])
     # Collatz-Wielandt: W^T W >= 0, so sigma_max^2 <= max_i (W^T W v)_i / v_i
     # for every v > 0; power steps (floored positive) tighten it until the
     # Rayleigh quotient, a lower bound, meets it
@@ -111,8 +105,9 @@ def estimate_triple_U_kept(U: np.ndarray, keep: np.ndarray, N: int, M: float) ->
     K = U - U0 stays in the operator view, W = (2 + p^4 + q^4)
     |U/(2 pi) - diag(u0hat)|, with the rows and columns of the modes
     outside keep zero: no equation constrains them.  The kernel view is W
-    with its columns reversed, which leaves sigma_max alone; handing over
-    that reversed view gives LAPACK the kernel view's array bit for bit.
+    with its columns reversed, which leaves sigma_max alone; a contiguous
+    copy of that reversed view sums the bound's products in the kernel
+    view's order, so both views give the same bound bit for bit.
     U and keep may also list decoupled diagonal blocks of U and their modes:
     sigma_max is the largest block's, each W on its modes' range of p.
     """
@@ -126,7 +121,7 @@ def estimate_triple_U_kept(U: np.ndarray, keep: np.ndarray, N: int, M: float) ->
         W = np.zeros((hi - lo, hi - lo))
         W[np.ix_(keep - lo, keep - lo)] = np.abs(X)
         W *= _weights(N)[lo:hi, lo:hi]
-        return _sigma_max(W[:, ::-1])
+        return _sigma_max(np.ascontiguousarray(W[:, ::-1]))
 
     return _tail_report(N, M, lambda: _TWO_PI * max(map(sigma_max, U, keep), default=0.0))
 

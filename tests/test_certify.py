@@ -34,7 +34,7 @@ from sik import (
 from sik.certify import _mirror_split, _solve_truncation, exact_axis_split
 from sik.errors import NearSingularPencil
 from sik.index import _ldl_n_plus
-from sik.lyapunov import solve_lyapunov_core
+from sik.lyapunov import _sign_band, solve_lyapunov_core
 from sik.operator_assembly import d_weights
 
 
@@ -369,6 +369,36 @@ def test_film_certificate_frozen():
     assert cert.n_axis == 3
     assert cert.tripleU_upper == pytest.approx(57.54996794710819, rel=1e-12)
     assert cert.c_N == pytest.approx(0.999974530484972, rel=1e-12)
+
+
+def _periodic_stencil(n, taps, scale):
+    # row j holds taps[k] at column j + k (mod n)
+    D = np.zeros((n, n))
+    for k, w in taps.items():
+        D += w * np.roll(np.eye(n), k, axis=1)
+    return D * scale
+
+
+def test_film_kappa_from_finite_differences():
+    # an independent discretisation of A[h] = -h'''' - (a h)'' + (b h)' - c h:
+    # point values on a periodic grid and fourth-order central stencils,
+    # no Fourier modes and nothing of assemble_A
+    spec = benilov_coefficients(0.0, 1.0, 0.02)
+    galerkin = np.sort(_solve_truncation(spec, 478).eigenvalues.real)[::-1][:4]
+    for n in (512, 256):
+        h = 2.0 * np.pi / n
+        D1 = _periodic_stencil(n, {-2: 1, -1: -8, 1: 8, 2: -1}, 1.0 / (12.0 * h))
+        D2 = _periodic_stencil(n, {-2: -1, -1: 16, 0: -30, 1: 16, 2: -1}, 1.0 / (12.0 * h**2))
+        D4 = _periodic_stencil(
+            n, {-3: -1, -2: 12, -1: -39, 0: 56, 1: -39, 2: 12, 3: -1}, 1.0 / (6.0 * h**4)
+        )
+        a, b, c = (poly.sample(n) for poly in (spec.a, spec.b, spec.c))
+        A_fd = -D4 - D2 * a[None, :] + D1 * b[None, :] - np.diag(c)
+        re = np.sort(np.linalg.eigvals(A_fd).real)[::-1]
+        band = _sign_band(A_fd)
+        np.testing.assert_allclose(re[:4], galerkin, rtol=1e-4)
+        assert abs(re[4]) <= band
+        assert int(np.sum(re > band)) == 4
 
 
 @pytest.mark.parametrize(

@@ -347,6 +347,46 @@ def test_sweep_bad_alpha3_row_does_not_abort(tmp_path):
     assert rows[1] == ["0.0", "1.0", "0.0", "", "config_error", ""]
 
 
+SWEEP_GRID_CSV = """\
+alpha1,alpha2,alpha3,kappa,status,N_final
+0.0,1.0,0.5,0,Certified,8
+0.0,1.0,0.2,0,Certified,26
+0.0,1.0,0.1,0,Certified,103
+0.0,1.0,0.07,2,Certified,86
+0.0,1.0,-1.0,,config_error,
+0.01,1.0,0.5,0,Certified,145
+0.01,1.0,0.2,0,Certified,170
+0.01,1.0,0.1,0,ConditionNotMet,192
+0.01,1.0,0.07,4,ConditionNotMet,192
+0.01,1.0,-1.0,,config_error,
+0.5,1.0,0.5,0,Certified,29
+0.5,1.0,0.2,0,Certified,36
+0.5,1.0,0.1,0,Certified,80
+0.5,1.0,0.07,2,ConditionNotMet,192
+0.5,1.0,-1.0,,config_error,
+"""
+
+
+def test_sweep_grid_csv_frozen(tmp_path):
+    # the benchmark's 15-row film grid: every status, kappa and N_final is
+    # pinned, so a looser tail bound shows up first as a moved N_final
+    cfg = write_config(
+        tmp_path,
+        {
+            "options": {"max_N": 192},
+            "grid": {
+                "alpha1": [0.0, 0.01, 0.5],
+                "alpha2": [1.0],
+                "alpha3": [0.5, 0.2, 0.1, 0.07, -1.0],
+            },
+        },
+        name="grid.json",
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
+    assert out.read_text(encoding="utf-8") == SWEEP_GRID_CSV
+
+
 def test_sweep_empty_grid_header_only(tmp_path):
     cfg = write_config(tmp_path, {"grid": {}}, name="grid.json")
     out = tmp_path / "sweep.csv"

@@ -9,7 +9,6 @@ import pytest
 
 from sik import TrigPoly, tp_derivative
 from sik.fourier_core import (
-    LEIBNITZ_ENV_VAR,
     Kernel2D,
     kernel2d_sobolev_norm,
     leibnitz_constant,
@@ -155,8 +154,7 @@ def test_kernel2d_indexing_and_norm():
         Kernel2D(np.zeros((3, 5)))
 
 
-def test_leibnitz_constant_frozen_value(monkeypatch):
-    monkeypatch.delenv(LEIBNITZ_ENV_VAR, raising=False)
+def test_leibnitz_constant_frozen_value():
     C = leibnitz_constant()
     assert abs(C - FROZEN_LEIBNITZ) < 1e-15
     # recompute the series sum independently
@@ -166,21 +164,9 @@ def test_leibnitz_constant_frozen_value(monkeypatch):
     assert abs(C - math.sqrt(S / (2.0 * math.pi))) < 1e-15
 
 
-def test_leibnitz_env_override(monkeypatch):
-    monkeypatch.setenv(LEIBNITZ_ENV_VAR, "0.52")
-    assert leibnitz_constant() == 0.52
-    for bad in ("-1.0", "nan", "inf"):
-        monkeypatch.setenv(LEIBNITZ_ENV_VAR, bad)
-        with pytest.raises(ValueError):
-            leibnitz_constant()
-    monkeypatch.delenv(LEIBNITZ_ENV_VAR)
-    assert abs(leibnitz_constant() - FROZEN_LEIBNITZ) < 1e-15
-
-
-def test_sup_norm_bound_is_rigorous(monkeypatch):
+def test_sup_norm_bound_is_rigorous():
     # ||a||_inf <= sum |ahat| <= C ||a||_{H^1} by Cauchy-Schwarz against
     # the series the constant is built from
-    monkeypatch.delenv(LEIBNITZ_ENV_VAR, raising=False)
     C = leibnitz_constant()
     rng = np.random.default_rng(55)
     for _ in range(100):
@@ -194,8 +180,7 @@ def test_sup_norm_bound_is_rigorous(monkeypatch):
         assert l1 <= C * h1 * (1.0 + 1e-12)
 
 
-def test_product_norm_inequality(monkeypatch):
-    monkeypatch.delenv(LEIBNITZ_ENV_VAR, raising=False)
+def test_product_norm_inequality():
     C = leibnitz_constant()
     rng = np.random.default_rng(56)
     for _ in range(100):

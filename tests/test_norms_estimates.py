@@ -21,7 +21,7 @@ from sik import (
     tail_bound,
     triple_norm,
 )
-from sik.certify import exact_axis_split
+from sik.certify import _solve_truncation, _tripleU_upper, exact_axis_split
 from sik.errors import DeltaTooLarge
 from sik.fourier_core import Kernel2D, kernel2d_sobolev_norm
 from sik.lyapunov import LyapunovSolution, green_kernel, solve_lyapunov_core
@@ -84,8 +84,8 @@ def test_power_iteration_matches_dense_svd():
     for N in (3, 20, 60):
         W = np.abs(random_kernel(rng, N).coeffs)
         dense = float(np.linalg.svd(W, compute_uv=False)[0])
-        # call the internal iteration directly (the dispatcher would pick
-        # the dense route at these sizes)
+        # a plain power iteration, independent of _sigma_max's
+        # Collatz-Wielandt loop, as a second reference
         v = np.full(W.shape[1], 1.0 / math.sqrt(W.shape[1]))
         sigma = 0.0
         for _ in range(10_000):
@@ -115,9 +115,8 @@ def test_sigma_max_of_permuted_diagonal():
         assert _sigma_max(W) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
-def test_sigma_max_upper_bound_above_dense_limit():
-    # beyond the dense-SVD size the value must still bound sigma_max from
-    # above, and tightly
+def test_sigma_max_upper_bound_above_dense_limit(monkeypatch):
+    # the value must bound sigma_max from above, and tightly, at every size
     rng = np.random.default_rng(94)
     N = 600
     p = np.arange(-N, N + 1, dtype=float)
@@ -128,6 +127,18 @@ def test_sigma_max_upper_bound_above_dense_limit():
     ):
         dense = float(scipy.linalg.svdvals(W)[0])
         assert dense <= _sigma_max(W) <= (1.0 + 1e-8) * dense
+    # the W of real truncations: film's half block (n=477), alpha3=0.05 at
+    # its final N, and the first iteration of (0.01, 1, 0.1), where the loop
+    # runs into its step cap
+    Ws = []
+    monkeypatch.setattr(sik.norms_estimates, "_sigma_max", lambda W: Ws.append(W) or 0.0)
+    for alphas, N in (((0.0, 1.0, 0.02), 478), ((0.0, 1.0, 0.05), 177), ((0.01, 1.0, 0.1), 9)):
+        spec = benilov_coefficients(*alphas)
+        assert _tripleU_upper(_solve_truncation(spec, N), constant_M(spec)) is not None
+    assert [W.shape[0] for W in Ws] == [477, 176, 19]
+    for W in Ws:
+        dense = float(scipy.linalg.svdvals(W)[0])
+        assert dense <= _sigma_max(W) <= (1.0 + 1e-12) * dense
 
 
 def test_tail_report_fields_and_bounds():

@@ -40,7 +40,7 @@ import scipy.sparse.csgraph
 from .errors import DeltaTooLarge, NearSingularPencil
 from .index import _ldl_n_plus, count_half_plane
 from .lyapunov import _RESIDUAL_TOL, _serial_blas, _sign_band, solve_lyapunov_core
-from .norms_estimates import estimate_triple_U_kept
+from .norms_estimates import TailReport, estimate_triple_U_kept
 from .operator_assembly import OperatorSpec, assemble_A, constant_M, d_weights
 
 __all__ = [
@@ -55,8 +55,8 @@ STATUS_CERTIFIED = "Certified"
 STATUS_CONDITION_NOT_MET = "ConditionNotMet"
 STATUS_SPECTRA_TOUCH_AXIS = "SpectraTouchAxis"
 
-# the first truncation is at least _N_MIN; each next one exceeds the order
-# condition 2 asks for by _MARGIN
+# the first truncation is at least _N_MIN; each next one exceeds by _MARGIN
+# the least N whose condition 2 the last lambda_max would meet
 _N_MIN = 8
 _MARGIN = 8
 _SPLIT_MIN = 48  # kept blocks up to this size are solved whole: the split costs more
@@ -94,22 +94,30 @@ class Certificate:
         return asdict(self)
 
 
-def exact_axis_split(A: np.ndarray):
+def _graph(A: np.ndarray):
+    """A's nonzero pattern as a CSR adjacency, its arrays built directly."""
+    rows, cols = np.divmod(np.flatnonzero(A != 0.0), A.shape[1])  # rows ascending
+    indptr = np.searchsorted(rows, np.arange(A.shape[0] + 1))
+    return scipy.sparse.csr_matrix((np.ones(rows.size, np.int8), cols, indptr), A.shape)
+
+
+def exact_axis_split(A: np.ndarray, graph=None):
     """(keep, axis) index arrays from the sparsity pattern of A.
 
     axis collects singleton strongly connected components whose diagonal
     entry has real part exactly 0.0: their eigenvalues are the diagonal
     entries themselves (block-triangular structure), known without any
-    floating-point ambiguity.  keep is the complement, in order.
+    floating-point ambiguity.  keep is the complement, in order.  graph is
+    _graph(A) when the caller already holds it.
     """
     _, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix((A != 0.0).astype(np.int8)), connection="strong"
+        _graph(A) if graph is None else graph, connection="strong"
     )
     on_axis = (np.bincount(labels)[labels] == 1) & (np.diagonal(A).real == 0.0)
     return np.flatnonzero(~on_axis), np.flatnonzero(on_axis)
 
 
-def _mirror_split(A: np.ndarray, keep: np.ndarray):
+def _mirror_split(A: np.ndarray, keep: np.ndarray, graph=None):
     """(P, S): one side of each mirror pair of kept components, and the rest.
 
     When p -> -p (index i -> n-1-i) maps each weakly connected component
@@ -122,7 +130,7 @@ def _mirror_split(A: np.ndarray, keep: np.ndarray):
         return keep[:0], keep
     n = A.shape[0]
     ncomp, lab = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix((A != 0.0)[np.ix_(keep, keep)]), connection="weak"
+        (_graph(A) if graph is None else graph)[keep][:, keep], connection="weak"
     )
     mlab = lab[::-1]  # each mode's mirror's component, once keep is mirror-symmetric
     P = keep[mlab > lab]
@@ -188,8 +196,9 @@ def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
     and the unsolved record as ``exc.truncation``, so a caller can still
     count or report."""
     A = assemble_A(spec, N).entries
-    keep, axis = exact_axis_split(A)
-    parts = [(m, w) for m, w in zip(_mirror_split(A, keep), (2, 1)) if m.size]
+    graph = _graph(A)
+    keep, axis = exact_axis_split(A, graph)
+    parts = [(m, w) for m, w in zip(_mirror_split(A, keep, graph), (2, 1)) if m.size]
     t = _Truncation(N=N, A=A, keep=keep, axis=axis, parts=parts)
     whole, solves, singular = A[np.ix_(keep, keep)], [], None
     for m, _ in parts:
@@ -210,10 +219,10 @@ def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
     return t
 
 
-def _tripleU_upper(t: _Truncation, M: float) -> Optional[float]:
-    """Upper bound on |||U||| from a solved truncation; None when delta_N >= 1."""
+def _bracket(t: _Truncation, M: float) -> Optional[TailReport]:
+    """The |||U||| bracket of a solved truncation; None when delta_N >= 1."""
     try:
-        return estimate_triple_U_kept(t.Us, [m for m, _ in t.parts], t.N, M).tripleU_upper
+        return estimate_triple_U_kept(t.Us, [m for m, _ in t.parts], t.N, M)
     except DeltaTooLarge:
         return None
 
@@ -221,6 +230,11 @@ def _tripleU_upper(t: _Truncation, M: float) -> Optional[float]:
 def _cond2_order(M: float, tripleU_upper: float) -> int:
     """Least N with N^2 >= M (1 + sqrt(1 + M)) |||U|||, condition 2's order."""
     return math.ceil(math.sqrt(M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper))
+
+
+def _next_order(M: float, lambda_max: float) -> int:
+    """Least N with N^2 - M >= M (1 + sqrt(1 + M)) (1 + lambda_max): condition 2 at N."""
+    return math.ceil(math.sqrt(M + M * (1.0 + math.sqrt(1.0 + M)) * (1.0 + lambda_max)))
 
 
 def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> Certificate:
@@ -239,16 +253,13 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
     N = min(N, opts.max_N)
 
     for _ in range(max(1, opts.max_iterations)):
-        delta_N = M / float(N) ** 2
+        common = dict(spec_digest=digest, M=M, N_final=N, delta_N=M / float(N) ** 2)
         try:
             t = _solve_truncation(spec, N)
         except NearSingularPencil as exc:
             n_plus, _, _, gap = count_half_plane(exc.eigenvalues, _sign_band(exc.truncation.A))
             return Certificate(
-                spec_digest=digest,
-                M=M,
-                N_final=N,
-                delta_N=delta_N,
+                **common,
                 c_N=None,
                 tripleU_upper=None,
                 cond1_ok=False,
@@ -263,7 +274,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             )
 
         with _serial_blas(t.largest):
-            tripleU_upper = _tripleU_upper(t, M)
+            tail = _bracket(t, M)
             # D^2 U D^2 per part: U's inertia, eigenvalues off zero by the elliptic estimate
             d2 = d_weights(N) ** 2
             counts = [_ldl_n_plus(d2[m, None] * U * d2[None, m])
@@ -271,22 +282,20 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             n_plus, _, n_zero, gap = count_half_plane(
                 t.eigenvalues, _sign_band(t.A, t.blocks, t.residual)
             )
-        if tripleU_upper is not None:
+        if tail is not None:
+            tripleU_upper = tail.tripleU_upper
             cond1 = float(N) ** 2 > M * tripleU_upper
             cond2 = float(N) ** 2 > M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper
             c_N = 1.0 - M**2 / float(N) ** 4 * tripleU_upper
         else:
             cond1 = cond2 = False
-            c_N = None
+            c_N = tripleU_upper = None
 
         kappa_lyap = None if None in counts else sum(w * c for (_, w), c in zip(t.parts, counts))
         kappa_schur = int(n_plus)
 
         cert = Certificate(
-            spec_digest=digest,
-            M=M,
-            N_final=N,
-            delta_N=delta_N,
+            **common,
             c_N=c_N,
             tripleU_upper=tripleU_upper,
             cond1_ok=bool(cond1),
@@ -306,9 +315,9 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             cert.status = STATUS_CERTIFIED if agreed else STATUS_CONDITION_NOT_MET
             return cert
 
-        if tripleU_upper is None or N >= opts.max_N:
+        if tail is None or N >= opts.max_N:
             return cert
-        N = min(max(_cond2_order(M, tripleU_upper) + _MARGIN, N + 1), opts.max_N)
+        N = min(max(_next_order(M, tail.lambda_max) + _MARGIN, N + 1), opts.max_N)
     return cert
 
 

@@ -25,9 +25,9 @@ from .certify import (
     STATUS_CERTIFIED,
     STATUS_CONDITION_NOT_MET,
     STATUS_SPECTRA_TOUCH_AXIS,
+    _bracket,
     _cond2_order,
     _solve_truncation,
-    _tripleU_upper,
     certified_index,
 )
 from .errors import ConfigError, NearSingularPencil
@@ -221,7 +221,8 @@ def cmd_spectrum(config_path, out_path=None) -> int:
     if fixed_N is not None:
         N = fixed_N
         try:
-            tripleU_upper = _tripleU_upper(_solve_truncation(spec, N), M)
+            tail = _bracket(_solve_truncation(spec, N), M)
+            tripleU_upper = None if tail is None else tail.tripleU_upper
         except NearSingularPencil:
             tripleU_upper = None
     else:

@@ -54,7 +54,7 @@ def inertia_hermitian(H, zero_tol=None) -> Inertia:
     """Inertia of a Hermitian matrix by eigvalsh: the reference route.
 
     Default zero_tol is 1e-8 times the spectral norm, a knife edge for an
-    unscaled Lyapunov U (film N=478: 794 of 954 eigenvalues "zero").
+    unscaled Lyapunov U (film's n=954 kept block at N=478: 794 "zero").
     Raises NonHermitianInput when ||H - H^H|| exceeds 1e-10 relative.
     """
     H = np.asarray(H)

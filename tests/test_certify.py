@@ -6,7 +6,9 @@ cross-validation report.
 """
 
 import ast
+import dataclasses
 import importlib
+import math
 import inspect
 import json
 import os
@@ -16,6 +18,8 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 
 import sik
 import sik.certify
@@ -31,7 +35,13 @@ from sik import (
     dispersion_index,
     tp_derivative,
 )
-from sik.certify import _mirror_split, _solve_truncation, exact_axis_split
+from sik.certify import (
+    _graph,
+    _mirror_split,
+    _next_order,
+    _solve_truncation,
+    exact_axis_split,
+)
 from sik.errors import NearSingularPencil
 from sik.index import _ldl_n_plus
 from sik.lyapunov import _sign_band, solve_lyapunov_core
@@ -194,22 +204,21 @@ def test_benilov_stable_windows_certify():
 
 
 def test_benilov_certificate_frozen():
-    # alpha = (0, 1, 0.05) solves a mirror pair of 176 kept modes each, so
-    # the blocked triangular solve decides this certificate; values frozen
-    # from the unblocked whole-matrix trsyl route, axis_gap from the half
-    # block p <= -2
+    # alpha = (0, 1, 0.05) certifies at N=136 (iterations N=12, 136) and
+    # solves a mirror pair of 135 kept modes each, so the blocked triangular
+    # solve decides this certificate; axis_gap from the half block p <= -2
     cert = certified_index(benilov_coefficients(0.0, 1.0, 0.05))
     assert cert.spec_digest == (
         "e6a4ef22dae9ddfa72f2a759ac4cf06406e3fde299397fe44cd9b0da8dc2d02a"
     )
     assert cert.status == "Certified"
     assert (cert.kappa_schur, cert.kappa_lyapunov) == (2, 2)
-    assert (cert.N_final, cert.n_axis) == (177, 3)
+    assert (cert.N_final, cert.n_axis) == (136, 3)
     assert (cert.cond1_ok, cert.cond2_ok) == (True, True)
     assert cert.M == 62.0
-    assert cert.delta_N == 0.001978997095342973
-    assert cert.axis_gap == 32.88920275816048
-    assert cert.tripleU_upper == pytest.approx(29.10872386941123, rel=1e-12)
+    assert cert.delta_N == 0.0033520761245674742
+    assert cert.axis_gap == 32.88920275816042
+    assert cert.tripleU_upper == pytest.approx(29.148826876056955, rel=1e-12)
     assert cert.residual <= 1e-13
 
 
@@ -265,15 +274,15 @@ def test_cross_validation_report():
 
 
 def test_cross_validation_report_frozen():
-    # alpha=(0,1,0.05) certifies kappa=2 at N=177; the recount reads the
+    # alpha=(0,1,0.05) certifies kappa=2 at N=136; the recount reads the
     # Schur diagonals of the 2N solve and of A_N
     spec = benilov_coefficients(0.0, 1.0, 0.05)
     report = cross_validate(certified_index(spec), spec)
     frozen = {
-        "lyap_min": 0.9999999999997852,
-        "c_N": 0.9998859977350322,
-        "inverse_norm": 3.2593563401818835,
-        "inverse_bound": 126.01436592313372,
+        "lyap_min": 0.9999999999999779,
+        "c_N": 0.999672471703553,
+        "inverse_norm": 3.259356340181862,
+        "inverse_bound": 126.04128208640375,
     }
     for key, value in frozen.items():
         assert report.pop(key) == pytest.approx(value, rel=1e-12), key
@@ -361,14 +370,14 @@ def test_touch_axis_count_at_default_cap():
 
 @pytest.mark.slow
 def test_film_certificate_frozen():
-    # the headline workload, alpha = (0, 1, 0.02)
+    # the headline workload, alpha = (0, 1, 0.02), certifies at N=351
     cert = certified_index(benilov_coefficients(0.0, 1.0, 0.02))
     assert cert.status == "Certified"
-    assert cert.N_final == 478
+    assert cert.N_final == 351
     assert cert.kappa_schur == cert.kappa_lyapunov == 4
     assert cert.n_axis == 3
-    assert cert.tripleU_upper == pytest.approx(57.54996794710819, rel=1e-12)
-    assert cert.c_N == pytest.approx(0.999974530484972, rel=1e-12)
+    assert cert.tripleU_upper == pytest.approx(57.58272562015733, rel=1e-12)
+    assert cert.c_N == pytest.approx(0.9999123502003046, rel=1e-12)
 
 
 def _periodic_stencil(n, taps, scale):
@@ -411,6 +420,65 @@ def test_centre_block_of_2N_truncation_is_A_N(alpha, N):
     A2 = assemble_A(spec, 2 * N).entries
     assert np.array_equal(A2[N : 3 * N + 1, N : 3 * N + 1], assemble_A(spec, N).entries)
     assert exact_axis_split(A2)[1].size == 3
+
+
+@pytest.mark.parametrize(
+    "M, lambda_max",
+    [(1.0, 0.0), (1.0, 3.5), (62.0, 28.1), (172.0, 56.5), (2.0, 1e3), (9.0, 0.25), (500.0, 7.0)],
+)
+def test_next_order_is_least_N_meeting_condition_2(M, lambda_max):
+    # N^2 - M >= M (1 + sqrt(1 + M)) (1 + lambda_max) is condition 2 for the
+    # bracket (1 + lambda_max)/(1 - M/N^2) with delta taken at N itself
+    def meets(N):
+        return N * N - M >= M * (1.0 + math.sqrt(1.0 + M)) * (1.0 + lambda_max)
+
+    N = _next_order(M, lambda_max)
+    assert meets(N) and not meets(N - 1)
+
+
+def iterations(monkeypatch, spec):
+    """certified_index(spec) and the N of every truncation it solved."""
+    seen = []
+
+    def solve(spec, N):
+        seen.append(N)
+        return _solve_truncation(spec, N)
+
+    monkeypatch.setattr(sik.certify, "_solve_truncation", solve)
+    return certified_index(spec), seen
+
+
+@pytest.mark.parametrize(
+    "alpha, sequence", [((0.0, 1.0, 0.02), [18, 351]), ((0.0, 1.0, 0.05), [12, 136])]
+)
+def test_next_N_from_lambda_max(monkeypatch, alpha, sequence):
+    # the first truncation's lambda_max already predicts one that certifies;
+    # the bracket there (delta = 0.47 for film) would overshoot to 478 and 177
+    cert, seen = iterations(monkeypatch, benilov_coefficients(*alpha))
+    assert seen == sequence
+    assert cert.status == "Certified" and cert.N_final == sequence[-1]
+
+
+def test_failed_prediction_iterates_again(monkeypatch):
+    # a bracket twice as wide at the predicted N = 136 fails condition 2
+    # there: the loop must solve a larger N, never certify on the prediction
+    bracket = sik.certify._bracket
+
+    def wider_at_136(t, M):
+        tail = bracket(t, M)
+        if t.N != 136:
+            return tail
+        return dataclasses.replace(
+            tail, lambda_max=2.0 * tail.lambda_max, tripleU_upper=2.0 * tail.tripleU_upper
+        )
+
+    monkeypatch.setattr(sik.certify, "_bracket", wider_at_136)
+    spec = benilov_coefficients(0.0, 1.0, 0.05)
+    cert, seen = iterations(monkeypatch, spec)
+    assert seen[:2] == [12, 136] and len(seen) == 3 and seen[2] > 136
+    assert (cert.status, cert.N_final, cert.kappa_schur) == ("Certified", seen[2], 2)
+    cert = certified_index(spec, CertifyOptions(max_iterations=2))
+    assert (cert.status, cert.N_final, cert.cond2_ok) == ("ConditionNotMet", 136, False)
 
 
 def test_residual_tol_blocks_certified(monkeypatch):
@@ -508,8 +576,9 @@ def test_one_truncated_solve_pipeline():
     assert defined == ["lyapunov"]
 
 
-# the Benilov kept blocks checked for their mirror pair: film at its final
-# N, alpha = (0, 1, 0.05) at N and 2N, and two alpha1 != 0 specs
+# the Benilov kept blocks checked for their mirror pair: film at N=478 and
+# alpha = (0, 1, 0.05) at N=177 and 2N, their final N under the earlier
+# next-N rule, and two alpha1 != 0 specs
 MIRROR_SPECS = [
     ((0.0, 1.0, 0.02), 478),
     ((0.0, 1.0, 0.05), 177),
@@ -519,7 +588,9 @@ MIRROR_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("alpha, N", MIRROR_SPECS)
+@pytest.mark.parametrize(
+    "alpha, N", MIRROR_SPECS + [((0.0, 1.0, 0.02), 351), ((0.0, 1.0, 0.05), 136)]
+)
 def test_mirror_split_pairs_benilov_kept_block(alpha, N):
     # real coefficients give A[-p,-q] = conj(A[p,q]); once the axis modes
     # are peeled, nothing joins p <= -k to p >= k (k = 2 for alpha1 = 0,
@@ -552,6 +623,81 @@ def test_mirror_split_keeps_components_whole():
     assert (P - N).tolist() == list(range(1 - N, 0)) and (S - N).tolist() == [-N, 0, N]
 
 
+def reference_splits(A):
+    """keep, axis, P, S and both label arrays from a dense boolean pattern
+    turned into scipy.sparse, with the kept block's pattern cut by fancy
+    indexing: the construction that the shared _graph replaced."""
+    n = A.shape[0]
+    strong = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix((A != 0.0).astype(np.int8)), connection="strong"
+    )[1]
+    on_axis = (np.bincount(strong)[strong] == 1) & (np.diagonal(A).real == 0.0)
+    keep, axis = np.flatnonzero(~on_axis), np.flatnonzero(on_axis)
+    ncomp, weak = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix((A != 0.0)[np.ix_(keep, keep)]), connection="weak"
+    )
+    mlab = weak[::-1]
+    P = keep[mlab > weak]
+    if (
+        keep.size > sik.certify._SPLIT_MIN
+        and np.array_equal(keep, n - 1 - keep[::-1])
+        and np.unique(weak * ncomp + mlab).size == ncomp
+        and np.array_equal(A[np.ix_(P, P)].conj(), A[np.ix_(n - 1 - P, n - 1 - P)])
+    ):
+        return keep, axis, P, keep[mlab == weak], strong, weak
+    return keep, axis, P[:0], keep, strong, weak
+
+
+def random_patterns(rng):
+    # sparse complex matrices: plain ones, and mirror-symmetric ones
+    # (A[-p,-q] = conj(A[p,q])); each also with zero rows whose diagonal is
+    # imaginary, which the axis split peels, in mirror pairs for the latter
+    for n in (1, 5, 17, 49, 61, 101, 121):
+        for density in (0.0, 0.005, 0.02, 0.08):
+            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            B *= rng.random((n, n)) < density
+            B[np.diag_indices(n)] -= 1.0 + rng.random(n)
+            for mirror, A in ((False, B), (True, B + B[::-1, ::-1].conj())):
+                yield A
+                A = A.copy()
+                rows = rng.choice(n, size=n // 7, replace=False)
+                A[rows] = 0.0
+                A[rows, rows] = 1j * rng.standard_normal(rows.size)
+                if mirror:
+                    A[n - 1 - rows] = 0.0
+                    A[n - 1 - rows, n - 1 - rows] = A[rows, rows].conj()
+                yield A
+
+
+def benchmark_truncations():
+    # the film and certify_validate iterations, the sweep grid's Benilov
+    # rows, and constant-coefficient specs of the batch's range
+    for alpha, N in [((0.0, 1.0, 0.02), 18), ((0.0, 1.0, 0.02), 351), ((0.0, 1.0, 0.05), 12),
+                     ((0.0, 1.0, 0.05), 136), ((0.0, 1.0, 0.05), 272)]:
+        yield assemble_A(benilov_coefficients(*alpha), N).entries
+    for a1 in (0.0, 0.01, 0.5):
+        for a3 in (0.5, 0.2, 0.1, 0.07):
+            yield assemble_A(benilov_coefficients(a1, 1.0, a3), 40).entries
+    for coeffs in [(3.0, 1.0, 2.0), (-7.5, 4.0, 0.0), (9.0, -2.0, -6.0)]:
+        yield assemble_A(constant_spec(*coeffs), 30).entries
+
+
+def test_shared_graph_splits_equal_dense_pattern_splits():
+    rng = np.random.default_rng(5)
+    for A in [*benchmark_truncations(), *random_patterns(rng)]:
+        keep, axis, P, S, strong, weak = reference_splits(A)
+        graph = _graph(A)
+        assert (graph != scipy.sparse.csr_matrix((A != 0.0).astype(np.int8))).nnz == 0
+        kept = graph[keep][:, keep]
+        for connection, labels, G in (("strong", strong, graph), ("weak", weak, kept)):
+            got = scipy.sparse.csgraph.connected_components(G, connection=connection)[1]
+            assert np.array_equal(got, labels)
+        for got in (exact_axis_split(A), exact_axis_split(A, graph)):
+            assert all(map(np.array_equal, got, (keep, axis)))
+        for got in (_mirror_split(A, keep), _mirror_split(A, keep, graph)):
+            assert all(map(np.array_equal, got, (P, S)))
+
+
 @pytest.mark.parametrize(
     "spec, N", [(benilov_coefficients(0.0, 1.0, 0.05), 177), (constant_spec(0.0, 0.0, 0.01), 32)]
 )
@@ -561,7 +707,7 @@ def test_split_lambda_max_is_the_larger_part(spec, N):
     t = _solve_truncation(spec, N)
     M = sik.constant_M(spec)
     whole = sik.certify.estimate_triple_U_kept(t.U, t.keep, N, M).tripleU_upper
-    assert sik.certify._tripleU_upper(t, M) == pytest.approx(whole, rel=1e-12)
+    assert sik.certify._bracket(t, M).tripleU_upper == pytest.approx(whole, rel=1e-12)
 
 
 @pytest.mark.parametrize(

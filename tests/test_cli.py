@@ -350,18 +350,18 @@ def test_sweep_bad_alpha3_row_does_not_abort(tmp_path):
 SWEEP_GRID_CSV = """\
 alpha1,alpha2,alpha3,kappa,status,N_final
 0.0,1.0,0.5,0,Certified,8
-0.0,1.0,0.2,0,Certified,26
-0.0,1.0,0.1,0,Certified,103
-0.0,1.0,0.07,2,Certified,86
+0.0,1.0,0.2,0,Certified,24
+0.0,1.0,0.1,0,Certified,75
+0.0,1.0,0.07,2,Certified,66
 0.0,1.0,-1.0,,config_error,
-0.01,1.0,0.5,0,Certified,145
-0.01,1.0,0.2,0,Certified,170
+0.01,1.0,0.5,0,Certified,136
+0.01,1.0,0.2,0,Certified,147
 0.01,1.0,0.1,0,ConditionNotMet,192
 0.01,1.0,0.07,4,ConditionNotMet,192
 0.01,1.0,-1.0,,config_error,
-0.5,1.0,0.5,0,Certified,29
-0.5,1.0,0.2,0,Certified,36
-0.5,1.0,0.1,0,Certified,80
+0.5,1.0,0.5,0,Certified,28
+0.5,1.0,0.2,0,Certified,32
+0.5,1.0,0.1,0,Certified,61
 0.5,1.0,0.07,2,ConditionNotMet,192
 0.5,1.0,-1.0,,config_error,
 """

@@ -21,7 +21,7 @@ from sik import (
     tail_bound,
     triple_norm,
 )
-from sik.certify import _solve_truncation, _tripleU_upper, exact_axis_split
+from sik.certify import _bracket, _solve_truncation, exact_axis_split
 from sik.errors import DeltaTooLarge
 from sik.fourier_core import Kernel2D, kernel2d_sobolev_norm
 from sik.lyapunov import LyapunovSolution, green_kernel, solve_lyapunov_core
@@ -127,15 +127,17 @@ def test_sigma_max_upper_bound_above_dense_limit(monkeypatch):
     ):
         dense = float(scipy.linalg.svdvals(W)[0])
         assert dense <= _sigma_max(W) <= (1.0 + 1e-8) * dense
-    # the W of real truncations: film's half block (n=477), alpha3=0.05 at
-    # its final N, and the first iteration of (0.01, 1, 0.1), where the loop
-    # runs into its step cap
+    # the W of real truncations: the half blocks of film and alpha3=0.05 at
+    # their final N (351 and 136) and at the larger N the earlier next-N
+    # rule took (478 and 177), and the first iteration of (0.01, 1, 0.1),
+    # where the loop runs into its step cap
     Ws = []
     monkeypatch.setattr(sik.norms_estimates, "_sigma_max", lambda W: Ws.append(W) or 0.0)
-    for alphas, N in (((0.0, 1.0, 0.02), 478), ((0.0, 1.0, 0.05), 177), ((0.01, 1.0, 0.1), 9)):
+    film, thin = (0.0, 1.0, 0.02), (0.0, 1.0, 0.05)
+    for alphas, N in ((film, 351), (thin, 136), (film, 478), (thin, 177), ((0.01, 1.0, 0.1), 9)):
         spec = benilov_coefficients(*alphas)
-        assert _tripleU_upper(_solve_truncation(spec, N), constant_M(spec)) is not None
-    assert [W.shape[0] for W in Ws] == [477, 176, 19]
+        assert _bracket(_solve_truncation(spec, N), constant_M(spec)) is not None
+    assert [W.shape[0] for W in Ws] == [350, 135, 477, 176, 19]
     for W in Ws:
         dense = float(scipy.linalg.svdvals(W)[0])
         assert dense <= _sigma_max(W) <= (1.0 + 1e-12) * dense

@@ -39,7 +39,7 @@ import scipy.sparse.csgraph
 
 from .errors import DeltaTooLarge, NearSingularPencil
 from .index import _ldl_n_plus, count_half_plane
-from .lyapunov import _RESIDUAL_TOL, _serial_blas, _sign_band, solve_lyapunov_core
+from .lyapunov import _RESIDUAL_TOL, _Dense, _sign_band, solve_lyapunov_core
 from .norms_estimates import TailReport, estimate_triple_U_kept
 from .operator_assembly import OperatorSpec, assemble_A, constant_M, d_weights
 
@@ -129,18 +129,31 @@ def _mirror_split(A: np.ndarray, keep: np.ndarray, graph=None):
     if keep.size <= _SPLIT_MIN:
         return keep[:0], keep
     n = A.shape[0]
-    ncomp, lab = scipy.sparse.csgraph.connected_components(
-        (_graph(A) if graph is None else graph)[keep][:, keep], connection="weak"
-    )
+    graph = _graph(A) if graph is None else graph
+    ncomp, lab = scipy.sparse.csgraph.connected_components(graph[keep][:, keep], connection="weak")
     mlab = lab[::-1]  # each mode's mirror's component, once keep is mirror-symmetric
     P = keep[mlab > lab]
     if (
         np.array_equal(keep, n - 1 - keep[::-1])
         and np.unique(lab * ncomp + mlab).size == ncomp  # one mirror component each
-        and np.array_equal(A[np.ix_(P, P)].conj(), A[np.ix_(n - 1 - P, n - 1 - P)])
+        and _mirror_equal(A, P, graph)
     ):
         return P, keep[mlab == lab]
     return P[:0], keep
+
+
+def _mirror_equal(A: np.ndarray, P: np.ndarray, graph) -> bool:
+    """conj(A[P, P]) == A[P', P'] (P' = n-1-P), on the nonzeros of graph:
+    when each nonzero of A[P, P] equals its mirror's conjugate, the mirrors
+    are nonzeros of A[P', P'], so equal counts leave no other nonzero."""
+    n = A.shape[0]
+    rows, cols = np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices
+    inP = np.zeros(n, dtype=bool)
+    inP[P] = True
+    own = inP[rows] & inP[cols]
+    r, c = rows[own], cols[own]
+    return (np.count_nonzero(inP[::-1][rows] & inP[::-1][cols]) == r.size
+            and np.array_equal(A[r, c].conj(), A[n - 1 - r, n - 1 - c]))
 
 
 def _now():
@@ -273,7 +286,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
                 timestamp=_now(),
             )
 
-        with _serial_blas(t.largest):
+        with _Dense(t.largest):
             tail = _bracket(t, M)
             # D^2 U D^2 per part: U's inertia, eigenvalues off zero by the elliptic estimate
             d2 = d_weights(N) ** 2
@@ -342,7 +355,7 @@ def cross_validate(cert: Certificate, spec: OperatorSpec):
         t2 = _solve_truncation(spec, 2 * N)
     except NearSingularPencil as exc:
         t2 = exc.truncation
-    with _serial_blas(t2.largest):
+    with _Dense(t2.largest):
         A_N = t2.A[N : 3 * N + 1, N : 3 * N + 1]  # modes |p| <= N: exactly P_N A P_N
         sel = [np.abs(m - 2 * N) <= N for m, _ in t2.parts]
         rows = [m[s] - N for (m, _), s in zip(t2.parts, sel)]

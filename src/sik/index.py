@@ -79,7 +79,9 @@ def _ldl_n_plus(X: np.ndarray) -> int | None:
     """n_plus of a Hermitian X from one Bunch-Kaufman LDL^H (?hetrf, in
     place; by Sylvester's law D has X's inertia).  None when a pivot
     eigenvalue is within _sign_band(X) = n eps ||X|| of zero: X is within
-    rounding of singular."""
+    rounding of singular.  Under lyapunov._Dense's abrupt underflow each
+    flushed term is below tiny = 2.2e-308, a backward error of order n tiny:
+    inside that band whenever ||X|| > tiny / eps = 1e-292."""
     n = X.shape[0]
     band = _sign_band(X)
     if np.count_nonzero(X) == np.count_nonzero(X.diagonal()):

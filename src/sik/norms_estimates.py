@@ -57,7 +57,10 @@ def _sigma_max(W: np.ndarray) -> float:
         if upper <= float(v @ w) / float(v @ v) * (1.0 + 1e-12):
             break
         v = np.maximum(w / np.max(w), 1e-12)
-    # each (W^T W v)_i sums nonnegative terms: relative rounding < 2 n eps
+    # each (W^T W v)_i sums nonnegative terms: relative rounding < 2 n eps;
+    # abrupt underflow (lyapunov._Dense) moves an entry of W or a term of
+    # W^T W v by less than 2 N^4 tiny (N <= 1e3, tiny = 2.2e-308), far
+    # inside the spare 2 n eps whenever max W > 1e-120
     return math.sqrt(upper * (1.0 + 4.0 * W.shape[0] * np.finfo(float).eps))
 
 

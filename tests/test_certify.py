@@ -698,6 +698,29 @@ def test_shared_graph_splits_equal_dense_pattern_splits():
             assert all(map(np.array_equal, got, (P, S)))
 
 
+def test_mirror_split_needs_equal_values_and_pattern():
+    # film's halves are mirror images; one value changed on an equal
+    # pattern, or an extra nonzero inside one half's component with every
+    # value of the other half matched, must each keep the block whole
+    N = 60
+    A = assemble_A(benilov_coefficients(0.0, 1.0, 0.02), N).entries
+    keep, _ = exact_axis_split(A)
+    P, S = _mirror_split(A, keep)
+    assert P.size and not S.size
+    i, j = P[0], P[1]  # p = -N and -N+1: coupled, so A[i, j] != 0
+    Q = 2 * N - P  # P's mirror modes
+    assert A[i, j] != 0.0 and A[Q[0], Q[2]] == 0.0
+    changed = A.copy()
+    changed[i, j] *= 1.0 + 1e-15
+    extra = A.copy()
+    extra[Q[0], Q[2]] = 1.0  # inside the mirror half's one component
+    for B in (changed, extra):
+        ref = reference_splits(B)
+        assert np.array_equal(ref[0], keep) and np.array_equal(ref[3], keep)
+        for got in (_mirror_split(B, keep), _mirror_split(B, keep, _graph(B))):
+            assert got[0].size == 0 and np.array_equal(got[1], keep)
+
+
 @pytest.mark.parametrize(
     "spec, N", [(benilov_coefficients(0.0, 1.0, 0.05), 177), (constant_spec(0.0, 0.0, 0.01), 32)]
 )

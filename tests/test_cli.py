@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sik.cli
+import sik.lyapunov
 from sik import CertifyOptions
 from sik.cli import main
 from sik.fourier_core import Kernel2D
@@ -331,6 +333,41 @@ def test_sweep_rows_in_grid_order(tmp_path):
         assert row[3] == "0"
         assert row[4] == "Certified"
         assert int(row[5]) >= 8
+
+
+@pytest.mark.skipif(sik.lyapunov._Dense.fenv is None, reason="not x86-64 glibc: nothing flushes")
+def test_sweep_workers_keep_their_mxcsr(tmp_path, monkeypatch):
+    # every row's dense work flushes subnormals in its pool thread, and
+    # leaves that thread's MXCSR, and the caller's, as it found them
+    def mxcsr():
+        env = sik.lyapunov._FEnv()
+        sik.lyapunov._Dense.fenv[0](env)
+        return env.mxcsr
+
+    calls, inside, certify, schur = [], [], sik.cli.certified_index, scipy.linalg.schur
+
+    def spy_certify(*args, **kwargs):
+        before = mxcsr()
+        cert = certify(*args, **kwargs)
+        calls.append((before, mxcsr()))
+        return cert
+
+    def spy_schur(*args, **kwargs):
+        inside.append(mxcsr() & 0x8040)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(sik.cli, "certified_index", spy_certify)
+    monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+    cfg = write_config(
+        tmp_path,
+        {"grid": {"alpha1": [0.0, 0.5], "alpha2": [1.0], "alpha3": [0.5, 0.2]}},
+        name="grid.json",
+    )
+    before = mxcsr()
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"), "--jobs", "2"]) == 0
+    assert mxcsr() == before
+    assert len(calls) == 4 and all(start == end for start, end in calls)
+    assert inside and set(inside) == {0x8040}
 
 
 def test_sweep_bad_alpha3_row_does_not_abort(tmp_path):

@@ -305,20 +305,20 @@ def test_serial_blas_pins_one_thread_and_restores(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "schur", spy)
     solve_lyapunov_core(stable_random(np.random.default_rng(5), 40))
     assert seen == [serial] and counts() == before
-    with sik.lyapunov._serial_blas(sik.lyapunov._SERIAL_MAX + 1):
+    with sik.lyapunov._Dense(sik.lyapunov._SERIAL_MAX + 1):
         assert counts() == before
 
     entered, release = threading.Event(), threading.Event()
 
     def hold():
-        with sik.lyapunov._serial_blas(10):
+        with sik.lyapunov._Dense(10):
             entered.set()
             release.wait(10)
 
     worker = threading.Thread(target=hold)
     worker.start()
     assert entered.wait(10)
-    with sik.lyapunov._serial_blas(sik.lyapunov._SERIAL_MAX):
+    with sik.lyapunov._Dense(sik.lyapunov._SERIAL_MAX):
         assert counts() == serial
     assert counts() == serial  # the worker still holds it
     release.set()
@@ -329,18 +329,22 @@ def test_serial_blas_pins_one_thread_and_restores(monkeypatch):
 def test_serial_blas_holders_under_thread_stress():
     # four threads, on two cores, enter and leave in a tight loop with a
     # short switch interval: a lost update of the holder count would put
-    # the thread counts back while a holder is still inside, or not at all
+    # the thread counts back while a holder is still inside, or not at all;
+    # each thread's own MXCSR must come back as it was
     libs = sik.lyapunov._OneBlasThread.calls
     if not libs:
         pytest.skip("numpy and scipy bundle no OpenBLAS")
-    before, wrong = [get() for get, _ in libs], []
+    before, wrong, states = [get() for get, _ in libs], [], []
+    read = mxcsr if sik.lyapunov._Dense.fenv else lambda: None
 
     def churn():
+        start = read()
         for _ in range(2000):
-            with sik.lyapunov._serial_blas(10):
+            with sik.lyapunov._Dense(10):
                 if any(get() != 1 for get, _ in libs):
                     wrong.append(1)
             time.sleep(0)  # let the holder count fall to 0 now and then
+        states.append((start, read()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -355,3 +359,68 @@ def test_serial_blas_holders_under_thread_stress():
     assert not any(worker.is_alive() for worker in workers)
     assert not wrong and sik.lyapunov._OneBlasThread.holders == 0
     assert [get() for get, _ in libs] == before
+    assert len(states) == 4 and all(start == end for start, end in states)
+
+
+def mxcsr():
+    """The calling thread's MXCSR, read as _Dense reads it."""
+    env = sik.lyapunov._FEnv()
+    assert sik.lyapunov._Dense.fenv[0](env) == 0
+    return env.mxcsr
+
+
+needs_flush = pytest.mark.skipif(
+    sik.lyapunov._Dense.fenv is None, reason="not x86-64 glibc: _Dense flushes nothing"
+)
+SUBNORMAL = np.array([5e-324])
+
+
+@needs_flush
+def test_dense_flushes_subnormals_and_restores():
+    before = mxcsr()
+    for n in (10, sik.lyapunov._SERIAL_MAX + 1):  # every size flushes
+        with sik.lyapunov._Dense(n):
+            assert mxcsr() & 0x8040 == 0x8040
+            assert (SUBNORMAL * 1.0)[0] == 0.0
+        assert (SUBNORMAL * 1.0)[0] == 5e-324 and mxcsr() == before
+
+
+@needs_flush
+def test_dense_restores_mxcsr_after_near_singular_pencil(monkeypatch):
+    # the pencil test raises inside the flushed region; the exit puts the
+    # saved MXCSR back all the same
+    seen, schur = [], scipy.linalg.schur
+
+    def spy(*args, **kwargs):
+        seen.append(mxcsr())
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    before = mxcsr()
+    with pytest.raises(NearSingularPencil):
+        solve_lyapunov_core(np.diag([1.0 + 2.0j, -1.0 + 2.0j]))
+    assert len(seen) == 1 and seen[0] & 0x8040 == 0x8040
+    assert mxcsr() == before and (SUBNORMAL * 1.0)[0] == 5e-324
+
+
+@needs_flush
+def test_dense_flush_is_per_thread():
+    # MXCSR is per thread: while one thread is inside, another keeps
+    # gradual underflow
+    entered, release, inside = threading.Event(), threading.Event(), []
+
+    def hold():
+        with sik.lyapunov._Dense(10):
+            entered.set()
+            release.wait(10)
+            inside.append((SUBNORMAL * 1.0)[0])
+
+    worker = threading.Thread(target=hold)
+    worker.start()
+    try:
+        assert entered.wait(10)
+        assert (SUBNORMAL * 1.0)[0] == 5e-324 and mxcsr() & 0x8040 == 0
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive() and inside == [0.0]

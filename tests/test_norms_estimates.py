@@ -24,7 +24,7 @@ from sik import (
 from sik.certify import _bracket, _solve_truncation, exact_axis_split
 from sik.errors import DeltaTooLarge
 from sik.fourier_core import Kernel2D, kernel2d_sobolev_norm
-from sik.lyapunov import LyapunovSolution, green_kernel, solve_lyapunov_core
+from sik.lyapunov import LyapunovSolution, _Dense, green_kernel, solve_lyapunov_core
 from sik.norms_estimates import _sigma_max, _weight_matrix, estimate_triple_U_kept
 
 # H^3 kernel norm of the free solution: grows with N, stays < 1.62.
@@ -113,6 +113,30 @@ def test_sigma_max_of_permuted_diagonal():
     # two nonzeros in one column or one row: sqrt(2), not the largest entry
     for W in (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])):
         assert _sigma_max(W) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+@pytest.mark.skipif(_Dense.fenv is None, reason="not x86-64 glibc: _Dense flushes nothing")
+def test_sigma_max_upper_bound_under_abrupt_underflow():
+    # film's Schur vectors underflow, so W may hold subnormal entries, which
+    # lyapunov._Dense reads as 0: the bound taken inside still covers the
+    # SVD taken outside, at gradual underflow.  A permuted diagonal plus
+    # subnormal entries looks like a permuted diagonal inside; its largest
+    # entry is its sigma_max up to n tiny, the SVD's to rounding
+    rng = np.random.default_rng(96)
+    tiny = np.finfo(float).tiny
+    for n in (7, 60, 350):
+        W = np.abs(rng.standard_normal((n, n))) * 10.0 ** -rng.uniform(0.0, 330.0, (n, n))
+        D = np.diag(rng.uniform(1.0, 5.0, n)) + np.where(rng.random((n, n)) < 0.3, 1e-310, 0.0)
+        D = D[rng.permutation(n)]
+        for X in (W, D):
+            assert np.count_nonzero((X > 0.0) & (X < tiny))
+        with _Dense(n):
+            got, got_D, flushed = _sigma_max(W), _sigma_max(D), W * 1.0
+        assert np.count_nonzero(flushed) < np.count_nonzero(W)
+        dense = float(scipy.linalg.svdvals(W)[0])
+        assert dense <= got <= (1.0 + 1e-8) * dense
+        assert got_D == float(D.max())
+        assert got_D == pytest.approx(float(scipy.linalg.svdvals(D)[0]), rel=1e-15)
 
 
 def test_sigma_max_upper_bound_above_dense_limit(monkeypatch):

@@ -62,10 +62,15 @@ _MARGIN = 8
 _SPLIT_MIN = 48  # kept blocks up to this size are solved whole: the split costs more
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertifyOptions:
     max_N: int = 512
     max_iterations: int = 20
+
+    def __post_init__(self):
+        for name in ("max_N", "max_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -265,7 +270,7 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
     N = max(_N_MIN, math.ceil(math.sqrt(2.0 * M)), spec.max_mode + 4)
     N = min(N, opts.max_N)
 
-    for _ in range(max(1, opts.max_iterations)):
+    for _ in range(opts.max_iterations):
         common = dict(spec_digest=digest, M=M, N_final=N, delta_N=M / float(N) ** 2)
         try:
             t = _solve_truncation(spec, N)

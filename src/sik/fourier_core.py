@@ -156,9 +156,6 @@ class Kernel2D:
     def coeff(self, p, q):
         return self.coeffs[p + self.N, q + self.N]
 
-    def modes(self):
-        return np.arange(-self.N, self.N + 1)
-
 
 def tp_multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Pointwise product via coefficient convolution."""
@@ -184,12 +181,6 @@ def sobolev_norm(f: TrigPoly, s: float) -> float:
     for p, v in f.coeffs.items():
         total += (1.0 + float(p) ** 4) ** (s / 2.0) * abs(v) ** 2
     return math.sqrt(_TWO_PI * total)
-
-
-def kernel2d_sobolev_norm(F: Kernel2D, s: float) -> float:
-    p = F.modes().astype(float)
-    w = (2.0 + p[:, None] ** 4 + p[None, :] ** 4) ** (s / 2.0)
-    return math.sqrt(4.0 * math.pi**2 * float(np.sum(w * np.abs(F.coeffs) ** 2)))
 
 
 _LEIBNITZ_CACHE = None

@@ -54,44 +54,6 @@ class GreenKernel:
         # antidiagonal: Fhat(p, q) = u0hat(p) delta_{q,-p}
         return Kernel2D(np.fliplr(np.diag(self.diag_coeffs)))
 
-    def matrix_diag(self) -> np.ndarray:
-        """Diagonal of the operator view, -1/(2(1+p^4))."""
-        return _TWO_PI * self.diag_coeffs
-
-    def closed_form(self, x):
-        """u0 evaluated pointwise from the closed form
-
-            u0(x) = C1 cos(kt) cosh(kt) + C2 sin(kt) sinh(kt),
-            t = x - pi (mod 2 pi, mapped to [-pi, pi)),  k = 1/sqrt(2),
-
-        with C1, C2 fixed by u0'(pi) = 0 and u0'''(pi) = 1/4 (periodicity
-        plus the -1/2 jump of the third derivative at x = 0).
-        """
-        C1, C2 = _closed_form_constants()
-        x = np.asarray(x, dtype=float)
-        t = np.mod(x, _TWO_PI) - math.pi
-        s = t / math.sqrt(2.0)
-        return C1 * np.cos(s) * np.cosh(s) + C2 * np.sin(s) * np.sinh(s)
-
-
-def _closed_form_constants():
-    k = 1.0 / math.sqrt(2.0)
-    s = k * math.pi
-    cos, sin = math.cos(s), math.sin(s)
-    cosh, sinh = math.cosh(s), math.sinh(s)
-    # first and third derivatives of the two even basis functions at t = pi
-    d1 = np.array(
-        [
-            [k * (cos * sinh - sin * cosh), k * (sin * cosh + cos * sinh)],
-            [
-                -2.0 * k**3 * (sin * cosh + cos * sinh),
-                2.0 * k**3 * (cos * sinh - sin * cosh),
-            ],
-        ]
-    )
-    C = np.linalg.solve(d1, np.array([0.0, 0.25]))
-    return float(C[0]), float(C[1])
-
 
 def green_kernel(N: int) -> GreenKernel:
     if N < 0:

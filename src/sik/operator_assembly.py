@@ -1,4 +1,4 @@
-"""Spectral matrices of A, its adjoint, and derived constants.
+"""Spectral matrix of A and derived constants.
 
 The operator family, acting on 2pi-periodic functions:
 
@@ -7,11 +7,10 @@ The operator family, acting on 2pi-periodic functions:
 with real trigonometric-polynomial coefficients a, b, c.  In the Fourier
 basis e^{ipx} the matrix entries are
 
-    A[p, q]  = -q^4 d_{pq} + p^2 ahat(p-q) + i p bhat(p-q) - chat(p-q)
-    A*[p, q] = -q^4 d_{pq} + q^2 ahat(p-q) - i q bhat(p-q) - chat(p-q)
+    A[p, q] = -q^4 d_{pq} + p^2 ahat(p-q) + i p bhat(p-q) - chat(p-q)
 
-(A* is the formal adjoint -g'''' - a g'' - b g' - c g; for real
-coefficients its matrix is the conjugate transpose of A's.)
+The formal adjoint A* g = -g'''' - a g'' - b g' - c g is not assembled: for
+real coefficients its matrix is the conjugate transpose of A's.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "OperatorSpec",
     "SpectralMatrix",
     "assemble_A",
-    "assemble_A_star",
     "constant_M",
     "benilov_coefficients",
     "d_weights",
@@ -81,30 +79,24 @@ class SpectralMatrix:
         self.entries = entries
         self.N = n
 
-    def entry(self, p, q):
-        return self.entries[p + self.N, q + self.N]
 
-
-def _band_fill(out, N, mode, a_m, b_m, c_m, adjoint):
+def _band_fill(out, N, mode, a_m, b_m, c_m):
     # rows r = p + N with both p and q = p - mode inside [-N, N]
     r = np.arange(max(0, mode), min(2 * N, 2 * N + mode) + 1)
     if r.size == 0:
         return
     cols = r - mode
     pv = (r - N).astype(float)
-    qv = (cols - N).astype(float)
-    if adjoint:
-        out[r, cols] += qv**2 * a_m - 1j * qv * b_m - c_m
-    else:
-        out[r, cols] += pv**2 * a_m + 1j * pv * b_m - c_m
+    out[r, cols] += pv**2 * a_m + 1j * pv * b_m - c_m
 
 
-def _assemble(spec: OperatorSpec, N: int, adjoint: bool) -> SpectralMatrix:
+def assemble_A(spec: OperatorSpec, N: int) -> SpectralMatrix:
+    """Matrix of P_N A P_N in the mode basis."""
     if N < spec.max_mode:
         warnings.warn(
             f"N={N} below coefficient max_mode={spec.max_mode}: "
             "coefficient truncation in the assembled matrix",
-            stacklevel=3,
+            stacklevel=2,
         )
     n = 2 * N + 1
     out = np.zeros((n, n), dtype=complex)
@@ -112,26 +104,8 @@ def _assemble(spec: OperatorSpec, N: int, adjoint: bool) -> SpectralMatrix:
     out[np.arange(n), np.arange(n)] = -(p**4)
     modes = set(spec.a.coeffs) | set(spec.b.coeffs) | set(spec.c.coeffs)
     for m in sorted(modes):
-        _band_fill(
-            out,
-            N,
-            m,
-            spec.a.coeff(m),
-            spec.b.coeff(m),
-            spec.c.coeff(m),
-            adjoint,
-        )
+        _band_fill(out, N, m, spec.a.coeff(m), spec.b.coeff(m), spec.c.coeff(m))
     return SpectralMatrix(out, N)
-
-
-def assemble_A(spec: OperatorSpec, N: int) -> SpectralMatrix:
-    """Matrix of P_N A P_N in the mode basis."""
-    return _assemble(spec, N, adjoint=False)
-
-
-def assemble_A_star(spec: OperatorSpec, N: int) -> SpectralMatrix:
-    """Matrix of P_N A* P_N, built from the adjoint's own formula."""
-    return _assemble(spec, N, adjoint=True)
 
 
 def d_weights(N: int) -> np.ndarray:

@@ -156,6 +156,12 @@ def test_condition_not_met_when_delta_too_large():
     assert (cert.N_final, cert.n_axis, cert.delta_N) == (1, 3, 8.0)
     assert (cert.kappa_schur, cert.kappa_lyapunov, cert.residual) == (0, 0, 0.0)
     assert cert.tripleU_upper is None and cert.axis_gap is None
+    # below 1 there is no truncation to certify: rejected, naming the field
+    for field, value in (("max_N", 0), ("max_N", -3), ("max_iterations", 0)):
+        with pytest.raises(ValueError, match=field):
+            CertifyOptions(**{field: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CertifyOptions().max_iterations = 0
 
 
 def test_axis_touch_reported_not_certified():
@@ -378,6 +384,23 @@ def test_film_certificate_frozen():
     assert cert.n_axis == 3
     assert cert.tripleU_upper == pytest.approx(57.58272562015733, rel=1e-12)
     assert cert.c_N == pytest.approx(0.9999123502003046, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha3, max_N, kappa, N_final",
+    [
+        (0.01, 1024, 6, 768),
+        pytest.param(0.005, 1024, 10, 956, marks=pytest.mark.slow),
+        # about 13 s and 1.2 GB peak RSS on a 2-core x86-64 box
+        pytest.param(0.002, 4096, 16, 2246, marks=pytest.mark.slow),
+    ],
+)
+def test_alpha3_ladder_certifies(alpha3, max_N, kappa, N_final):
+    # thinner films need truncations above the default max_N = 512
+    cert = certified_index(benilov_coefficients(0.0, 1.0, alpha3), CertifyOptions(max_N=max_N))
+    assert cert.status == "Certified"
+    assert cert.kappa_schur == cert.kappa_lyapunov == kappa
+    assert (cert.N_final, cert.n_axis) == (N_final, 3)
 
 
 def _periodic_stencil(n, taps, scale):

@@ -23,6 +23,8 @@ import sik.lyapunov
 from sik import CertifyOptions
 from sik.cli import main
 from sik.fourier_core import Kernel2D
+from sik.lyapunov import GreenKernel
+from sik.operator_assembly import SpectralMatrix
 
 
 def write_config(tmp_path, obj, name="run.json"):
@@ -184,6 +186,8 @@ def test_public_surface():
     deleted = {
         "sector_params", "indefinite_gram_schmidt", "NeutralVectorEncountered",
         "DispersionOracle", "lambda_max_statistic", "MaxTruncationExceeded",
+        "assemble_A_star", "_assemble", "_closed_form_constants",
+        "kernel2d_sobolev_norm",
     }
     modules = [sik] + [
         importlib.import_module(f"sik.{info.name}")
@@ -192,7 +196,13 @@ def test_public_surface():
     assert len(modules) == 10
     for module in modules:
         assert not deleted & set(vars(module)), module.__name__
-    assert not hasattr(Kernel2D, "restricted")
+    for cls, attrs in (
+        (Kernel2D, ("restricted", "modes")),
+        (GreenKernel, ("closed_form", "matrix_diag")),
+        (SpectralMatrix, ("entry",)),
+    ):
+        for attr in attrs:
+            assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

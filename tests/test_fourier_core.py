@@ -10,7 +10,6 @@ import pytest
 from sik import TrigPoly, tp_derivative
 from sik.fourier_core import (
     Kernel2D,
-    kernel2d_sobolev_norm,
     leibnitz_constant,
     sobolev_norm,
     tp_multiply,
@@ -146,8 +145,6 @@ def test_kernel2d_indexing_and_norm():
     assert F.N == N
     assert F.coeff(1, -2) == 2.0 + 1.0j
     assert F.coeff(0, 0) == -1.0
-    expected = 2.0 * math.pi * math.sqrt(math.sqrt(19.0) * 5.0 + math.sqrt(2.0) * 1.0)
-    assert abs(kernel2d_sobolev_norm(F, 1) - expected) < 1e-12
     with pytest.raises(ValueError):
         Kernel2D(np.zeros((4, 4)))
     with pytest.raises(ValueError):

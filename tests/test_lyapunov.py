@@ -1,9 +1,8 @@
 """Lyapunov solver and the free-operator Green kernel.
 
 Independent oracles: the Kronecker-product linear system for small solves,
-the whole-matrix LAPACK trsyl route for the recursive blocked solve, and
-the closed hyperbolic-trigonometric form of the free kernel for the
-coefficient series."""
+and the whole-matrix LAPACK trsyl route for the recursive blocked solve.
+The free kernel is checked by solving the free equation exactly."""
 
 import math
 import sys
@@ -26,11 +25,8 @@ from sik import (
 from sik.certify import exact_axis_split
 from sik.errors import NearSingularPencil
 from sik.fourier_core import Kernel2D
-from sik.lyapunov import _closed_form_constants, green_kernel, solve_lyapunov_core
+from sik.lyapunov import green_kernel, solve_lyapunov_core
 from sik.operator_assembly import SpectralMatrix
-
-FROZEN_C1 = -0.007866734196649159
-FROZEN_C2 = -0.053478080811521646
 
 
 def kron_solve(A):
@@ -55,42 +51,9 @@ def test_green_coefficients():
     assert F.coeff(1, 1) == 0.0
     assert F.coeff(1, 0) == 0.0
     p = np.arange(-4, 5, dtype=float)
-    assert np.allclose(g.matrix_diag(), -0.5 / (1.0 + p**4), atol=1e-16)
+    assert np.allclose(2.0 * math.pi * g.diag_coeffs, -0.5 / (1.0 + p**4), atol=1e-16)
     with pytest.raises(ValueError):
         green_kernel(-1)
-
-
-def test_closed_form_constants_frozen():
-    C1, C2 = _closed_form_constants()
-    assert abs(C1 - FROZEN_C1) < 1e-15
-    assert abs(C2 - FROZEN_C2) < 1e-15
-
-
-def test_closed_form_matches_coefficient_series():
-    g = green_kernel(0)
-    x = 2.0 * math.pi * np.arange(256) / 256.0
-    p = np.arange(-200, 201, dtype=float)
-    series = (-1.0 / (4.0 * math.pi * (1.0 + p**4))) @ np.exp(1j * np.outer(p, x))
-    assert np.max(np.abs(series.real - g.closed_form(x))) < 1e-6
-    assert np.max(np.abs(series.imag)) < 1e-14
-
-
-def test_closed_form_symmetry_and_derivatives():
-    g = green_kernel(0)
-    x = np.linspace(0.1, math.pi, 50)
-    assert np.allclose(g.closed_form(x), g.closed_form(2.0 * math.pi - x), atol=1e-14)
-    # periodicity pins u0'(2pi-) = 0; the third derivative is +1/4 at
-    # 2pi- and -1/4 at 0+, the -1/2 delta jump of the kernel
-    h = 5e-3
-    f = lambda t: float(g.closed_form(t))
-    x0 = 2.0 * math.pi - 1e-9
-    d1 = (3.0 * f(x0) - 4.0 * f(x0 - h) + f(x0 - 2 * h)) / (2.0 * h)
-    assert abs(d1) < 1e-4
-    d3_left = (f(x0) - 3.0 * f(x0 - h) + 3.0 * f(x0 - 2 * h) - f(x0 - 3 * h)) / h**3
-    d3_right = (-f(1e-9) + 3.0 * f(1e-9 + h) - 3.0 * f(1e-9 + 2 * h) + f(1e-9 + 3 * h)) / h**3
-    assert abs(d3_left - 0.25) < 0.01
-    assert abs(d3_right + 0.25) < 0.01
-    assert abs((d3_right - d3_left) + 0.5) < 0.02
 
 
 def test_free_operator_solved_exactly():
@@ -102,7 +65,7 @@ def test_free_operator_solved_exactly():
         assert sol.residual < 1e-13
         assert np.max(np.abs(sol.K.coeffs)) < 1e-15
         assert np.allclose(
-            np.diag(sol.U.entries), green_kernel(N).matrix_diag(), atol=1e-15
+            np.diag(sol.U.entries), 2.0 * math.pi * green_kernel(N).diag_coeffs, atol=1e-15
         )
         off = sol.U.entries - np.diag(np.diag(sol.U.entries))
         assert np.max(np.abs(off)) < 1e-15
@@ -158,7 +121,7 @@ def test_kernel_operator_convert_roundtrip():
     # the free kernel's antidiagonal maps onto the matrix diagonal
     g = green_kernel(3)
     gm = kernel_operator_convert(g.as_kernel2d())
-    assert np.allclose(np.diag(gm.entries), g.matrix_diag(), atol=1e-16)
+    assert np.allclose(np.diag(gm.entries), 2.0 * math.pi * g.diag_coeffs, atol=1e-16)
     assert np.max(np.abs(gm.entries - np.diag(np.diag(gm.entries)))) == 0.0
     with pytest.raises(TypeError):
         kernel_operator_convert(np.eye(3))

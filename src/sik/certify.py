@@ -175,16 +175,16 @@ def _expand(parts, values):
 class _Truncation:
     """One truncation N: the entries A of P_N A P_N, its exact axis split,
     the kept block's parts (modes, weight 2 for P and its mirror, 1 for S),
-    each part's U (None until solved), and the whole kept block's
-    eigenvalues and residual."""
+    the whole kept block's eigenvalues, each part's U and the kept block's
+    residual (both None when a part's pencil is singular)."""
 
     N: int
     A: np.ndarray
     keep: np.ndarray
     axis: np.ndarray
     parts: list
+    eigenvalues: np.ndarray
     Us: Optional[list] = None
-    eigenvalues: Optional[np.ndarray] = None
     residual: Optional[float] = None
 
     @property
@@ -210,35 +210,34 @@ class _Truncation:
 def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
     """Assemble P_N A P_N, peel its axis modes, solve the kept block's parts.
 
-    NearSingularPencil propagates with the whole kept block's eigenvalues
-    and the unsolved record as ``exc.truncation``, so a caller can still
-    count or report."""
+    Every part is attempted, so eigenvalues always hold the whole kept
+    block's; a NearSingularPencil from any part leaves Us and residual None."""
     A = assemble_A(spec, N).entries
     graph = _graph(A)
     keep, axis = exact_axis_split(A, graph)
     parts = [(m, w) for m, w in zip(_mirror_split(A, keep, graph), (2, 1)) if m.size]
-    t = _Truncation(N=N, A=A, keep=keep, axis=axis, parts=parts)
-    whole, solves, singular = A[np.ix_(keep, keep)], [], None
+    whole, solves = A[np.ix_(keep, keep)], []
     for m, _ in parts:
         block = whole if m.size == keep.size else A[np.ix_(m, m)]
         try:
             solves.append(solve_lyapunov_core(block, whole))
         except NearSingularPencil as exc:
-            singular = singular or exc
             solves.append((None, exc.eigenvalues, None, None))
-    t.eigenvalues = _expand(parts, [s[1] for s in solves])
-    if singular is not None:
-        singular.eigenvalues, singular.truncation = t.eigenvalues, t
-        raise singular
-    t.Us = [s[0] for s in solves]
-    # ||R||_F^2 / n over the kept block: a mirror block's R is P's conjugate
-    t.residual = math.sqrt(sum(w * (m.size / keep.size) * (s[2] * s[2])
-                               for (m, w), s in zip(parts, solves)))
+    t = _Truncation(N=N, A=A, keep=keep, axis=axis, parts=parts,
+                    eigenvalues=_expand(parts, [s[1] for s in solves]))
+    if all(s[0] is not None for s in solves):
+        t.Us = [s[0] for s in solves]
+        # ||R||_F^2 / n over the kept block: a mirror block's R is P's conjugate
+        t.residual = math.sqrt(sum(w * (m.size / keep.size) * (s[2] * s[2])
+                                   for (m, w), s in zip(parts, solves)))
     return t
 
 
 def _bracket(t: _Truncation, M: float) -> Optional[TailReport]:
-    """The |||U||| bracket of a solved truncation; None when delta_N >= 1."""
+    """The |||U||| bracket of a truncation; None when it is unsolved or
+    delta_N >= 1."""
+    if t.Us is None:
+        return None
     try:
         return estimate_triple_U_kept(t.Us, [m for m, _ in t.parts], t.N, M)
     except DeltaTooLarge:
@@ -262,8 +261,15 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
     inertia counts, no eigenvalue inside the sign band, and a Lyapunov
     residual within the fixed gate _RESIDUAL_TOL.  The Schur count's band
     is _sign_band's: half the gap the solve certifies, or the
-    backward-error floor n eps ||A_N|| when the pencil is singular.
+    backward-error floor n eps ||A_N|| when the pencil is singular.  A
+    singular pencil ends the loop with status SpectraTouchAxis, from the
+    same constructor: no tail bound, no inertia count, no residual.
     """
+    return _certify(spec, opts)[0]
+
+
+def _certify(spec: OperatorSpec, opts: CertifyOptions | None = None):
+    """certified_index's loop: (the Certificate, its final _Truncation)."""
     opts = opts or CertifyOptions()
     M = constant_M(spec)
     digest = spec.digest()
@@ -271,32 +277,13 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
     N = min(N, opts.max_N)
 
     for _ in range(opts.max_iterations):
-        common = dict(spec_digest=digest, M=M, N_final=N, delta_N=M / float(N) ** 2)
-        try:
-            t = _solve_truncation(spec, N)
-        except NearSingularPencil as exc:
-            n_plus, _, _, gap = count_half_plane(exc.eigenvalues, _sign_band(exc.truncation.A))
-            return Certificate(
-                **common,
-                c_N=None,
-                tripleU_upper=None,
-                cond1_ok=False,
-                cond2_ok=False,
-                kappa_schur=int(n_plus) if exc.eigenvalues.size else None,
-                kappa_lyapunov=None,
-                residual=None,
-                axis_gap=gap,
-                status=STATUS_SPECTRA_TOUCH_AXIS,
-                n_axis=int(exc.truncation.axis.size),
-                timestamp=_now(),
-            )
-
+        t = _solve_truncation(spec, N)
         with _Dense(t.largest):
             tail = _bracket(t, M)
             # D^2 U D^2 per part: U's inertia, eigenvalues off zero by the elliptic estimate
             d2 = d_weights(N) ** 2
             counts = [_ldl_n_plus(d2[m, None] * U * d2[None, m])
-                      for (m, _), U in zip(t.parts, t.Us)]
+                      for (m, _), U in zip(t.parts, t.Us or ())]
             n_plus, _, n_zero, gap = count_half_plane(
                 t.eigenvalues, _sign_band(t.A, t.blocks, t.residual)
             )
@@ -309,11 +296,22 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             cond1 = cond2 = False
             c_N = tripleU_upper = None
 
-        kappa_lyap = None if None in counts else sum(w * c for (_, w), c in zip(t.parts, counts))
+        kappa_lyap = (None if t.Us is None or None in counts
+                      else sum(w * c for (_, w), c in zip(t.parts, counts)))
         kappa_schur = int(n_plus)
+        if t.Us is None:
+            status = STATUS_SPECTRA_TOUCH_AXIS
+        elif cond2 and kappa_schur == kappa_lyap and n_zero == 0 and t.residual <= _RESIDUAL_TOL:
+            # an unreliable solve certifies nothing, whatever it counts
+            status = STATUS_CERTIFIED
+        else:
+            status = STATUS_CONDITION_NOT_MET
 
         cert = Certificate(
-            **common,
+            spec_digest=digest,
+            M=M,
+            N_final=N,
+            delta_N=M / float(N) ** 2,
             c_N=c_N,
             tripleU_upper=tripleU_upper,
             cond1_ok=bool(cond1),
@@ -322,21 +320,14 @@ def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> C
             kappa_lyapunov=kappa_lyap,
             residual=t.residual,
             axis_gap=gap,
-            status=STATUS_CONDITION_NOT_MET,
+            status=status,
             n_axis=int(t.axis.size),
             timestamp=_now(),
         )
-
-        if cond2:
-            # an unreliable solve certifies nothing, whatever it counts
-            agreed = kappa_schur == kappa_lyap and n_zero == 0 and t.residual <= _RESIDUAL_TOL
-            cert.status = STATUS_CERTIFIED if agreed else STATUS_CONDITION_NOT_MET
-            return cert
-
-        if tail is None or N >= opts.max_N:
-            return cert
+        if cond2 or tail is None or N >= opts.max_N:
+            return cert, t
         N = min(max(_next_order(M, tail.lambda_max) + _MARGIN, N + 1), opts.max_N)
-    return cert
+    return cert, t
 
 
 def cross_validate(cert: Certificate, spec: OperatorSpec):
@@ -356,10 +347,7 @@ def cross_validate(cert: Certificate, spec: OperatorSpec):
     N, M = cert.N_final, cert.M
     report = {"kappa_cert": cert.kappa_schur}
 
-    try:
-        t2 = _solve_truncation(spec, 2 * N)
-    except NearSingularPencil as exc:
-        t2 = exc.truncation
+    t2 = _solve_truncation(spec, 2 * N)
     with _Dense(t2.largest):
         A_N = t2.A[N : 3 * N + 1, N : 3 * N + 1]  # modes |p| <= N: exactly P_N A P_N
         sel = [np.abs(m - 2 * N) <= N for m, _ in t2.parts]

@@ -26,18 +26,14 @@ from .certify import (
     STATUS_CONDITION_NOT_MET,
     STATUS_SPECTRA_TOUCH_AXIS,
     _bracket,
+    _certify,
     _cond2_order,
     _solve_truncation,
     certified_index,
 )
-from .errors import ConfigError, NearSingularPencil
+from .errors import ConfigError
 from .fourier_core import TrigPoly
-from .operator_assembly import (
-    OperatorSpec,
-    assemble_A,
-    benilov_coefficients,
-    constant_M,
-)
+from .operator_assembly import OperatorSpec, benilov_coefficients, constant_M
 from .oracle import validation_suite
 
 _EXIT_BY_STATUS = {
@@ -219,18 +215,16 @@ def cmd_spectrum(config_path, out_path=None) -> int:
     M = constant_M(spec)
     exit_code = 0
     if fixed_N is not None:
-        N = fixed_N
-        try:
-            tail = _bracket(_solve_truncation(spec, N), M)
-            tripleU_upper = None if tail is None else tail.tripleU_upper
-        except NearSingularPencil:
-            tripleU_upper = None
+        t = _solve_truncation(spec, fixed_N)
+        tail = _bracket(t, M)
+        tripleU_upper = None if tail is None else tail.tripleU_upper
     else:
-        cert = certified_index(spec, opts)
-        N, tripleU_upper = cert.N_final, cert.tripleU_upper
+        cert, t = _certify(spec, opts)
+        tripleU_upper = cert.tripleU_upper
         exit_code = _EXIT_BY_STATUS[cert.status]
 
-    eigs = np.linalg.eigvals(assemble_A(spec, N).entries)
+    # the kept block's Schur eigenvalues and the exact axis modes
+    eigs = np.concatenate([t.eigenvalues, np.diagonal(t.A)[t.axis]])
     order = np.lexsort((eigs.imag, -eigs.real))
     lines = ["re,im"]
     for ev in eigs[order]:
@@ -240,7 +234,7 @@ def cmd_spectrum(config_path, out_path=None) -> int:
 
     # the truncation order condition 2 asks for, when a tail bound exists
     cutoff = None if tripleU_upper is None else _cond2_order(M, tripleU_upper)
-    meta = {"N": int(N), "M": M, "suggested_cutoff": cutoff}
+    meta = {"N": t.N, "M": M, "suggested_cutoff": cutoff}
     _write_text(_sidecar_path(out), json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return exit_code
 

@@ -42,7 +42,6 @@ from sik.certify import (
     _solve_truncation,
     exact_axis_split,
 )
-from sik.errors import NearSingularPencil
 from sik.index import _ldl_n_plus
 from sik.lyapunov import _sign_band, solve_lyapunov_core
 from sik.operator_assembly import d_weights
@@ -521,13 +520,16 @@ def test_one_truncated_solve_pipeline():
     # function, stay off the Kernel2D reference types and off the eig/inv
     # route; the only Schur outside the solve is cross_validate's recount at
     # N, and the only eigvalsh its Lyapunov floor: certified_index reads the
-    # inertia from the LDL^H count.  Every sign band on the path is a
-    # _sign_band(...) call, and _sign_band is defined once
+    # inertia from the LDL^H count, and sik spectrum writes the record's own
+    # eigenvalues.  Every sign band on the path is a _sign_band(...) call,
+    # and _sign_band is defined once.  A singular pencil is caught once, in
+    # _solve_truncation, which returns the unsolved record
     sites = {
         "solve_lyapunov_core": [],
         "exact_axis_split": [],
         "schur": [],
         "eigvalsh": [],
+        "eigvals": [],
         "_ldl_n_plus": [],
     }
     for module in (sik.certify, sik.cli):
@@ -556,8 +558,14 @@ def test_one_truncated_solve_pipeline():
         "exact_axis_split": ["_solve_truncation"],
         "schur": ["cross_validate"],
         "eigvalsh": ["cross_validate"],
-        "_ldl_n_plus": ["certified_index"],
+        "eigvals": [],
+        "_ldl_n_plus": ["_certify"],
     }
+    for module in (sik.certify, sik.cli):
+        tree = ast.parse(inspect.getsource(module))
+        used = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+        assert "eigvals" not in used, f"{module.__name__} names eigvals"
+    assert "NearSingularPencil" not in inspect.getsource(sik.cli)
     # the hetrf lookup lives in sik.index alone, off the lyapunov.trsyl
     # span that wraps sik.lyapunov's get_lapack_funcs
     names = [m.name for m in pkgutil.iter_modules(sik.__path__)]
@@ -566,6 +574,15 @@ def test_one_truncated_solve_pipeline():
         name for name in names if "hetrf" in inspect.getsource(importlib.import_module("sik." + name))
     ]
     assert with_hetrf == ["index"]
+    catching = [
+        fn.name
+        for name in names
+        for fn in ast.walk(ast.parse(inspect.getsource(importlib.import_module("sik." + name))))
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(h, ast.ExceptHandler) and h.type
+                and "NearSingularPencil" in ast.unparse(h.type) for h in ast.walk(fn))
+    ]
+    assert catching == ["_solve_truncation"]
 
     def is_sign_band(node):
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sign_band"
@@ -578,7 +595,7 @@ def test_one_truncated_solve_pipeline():
         for node in ast.walk(ast.parse(certify_source))
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "count_half_plane"
     ]
-    assert len(bands) == 4 and all(map(is_sign_band, bands))
+    assert len(bands) == 3 and all(map(is_sign_band, bands))
     ldl = next(
         node
         for node in ast.walk(ast.parse(inspect.getsource(sik.index)))
@@ -830,16 +847,15 @@ def test_unpaired_kept_block_takes_single_solve(monkeypatch):
 @pytest.mark.filterwarnings("ignore:Lyapunov residual")
 def test_singular_part_reports_whole_kept_block():
     # c = 1e-12 puts mode 0, alone in S, a hair off the axis, while the pair
-    # p = -24..-1 solves; the exception still carries all 49 kept
+    # p = -24..-1 solves; the unsolved record still carries all 49 kept
     # eigenvalues, so the six unstable modes p = +-1, +-2, +-3 of a = 10
     # are all counted
     spec = constant_spec(10.0, 0.0, 1e-12)
-    with pytest.raises(NearSingularPencil) as info:
-        _solve_truncation(spec, 24)
-    t = info.value.truncation
+    t = _solve_truncation(spec, 24)
+    assert t.Us is None and t.residual is None
     assert [w for _, w in t.parts] == [2, 1]
-    assert info.value.eigenvalues.size == t.keep.size == 49
-    assert np.sum(info.value.eigenvalues.real > 0.0) == 6
+    assert t.eigenvalues.size == t.keep.size == 49
+    assert np.sum(t.eigenvalues.real > 0.0) == 6
     # at N = 8, and at the report's 2N = 16, the small kept block is solved whole
     cert = certified_index(spec)
     assert (cert.status, cert.kappa_schur, cert.N_final) == ("SpectraTouchAxis", 6, 8)

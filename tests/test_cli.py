@@ -24,7 +24,7 @@ from sik import CertifyOptions
 from sik.cli import main
 from sik.fourier_core import Kernel2D
 from sik.lyapunov import GreenKernel
-from sik.operator_assembly import SpectralMatrix
+from sik.operator_assembly import SpectralMatrix, assemble_A, benilov_coefficients
 
 
 def write_config(tmp_path, obj, name="run.json"):
@@ -323,6 +323,22 @@ def test_spectrum_cutoff_from_certificate_equals_fixed_N(
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "fixed.csv")]) == 0
     assert json.loads((tmp_path / "fixed.json").read_text(encoding="utf-8")) == meta
     assert (tmp_path / "fixed.csv").read_text() == (tmp_path / "cert.csv").read_text()
+
+
+@pytest.mark.parametrize("alpha, N", [((0.0, 1.0, 0.05), 136), ((0.5, 1.0, 0.07), 192)])
+def test_spectrum_matches_whole_matrix_eigvals(tmp_path, alpha, N):
+    # the CSV holds the kept parts' Schur eigenvalues (unbalanced) and the
+    # exact axis modes; zgeev on the whole balanced A_N is the reference
+    cfg = write_config(tmp_path, benilov_config(*alpha, options={"N": N}))
+    out = tmp_path / "eigs.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    got = np.array([complex(float(re), float(im)) for re, im in rows])
+    ref = np.linalg.eigvals(assemble_A(benilov_coefficients(*alpha), N).entries)
+    assert got.size == ref.size == 2 * N + 1
+    nearest = ref[np.abs(got[:, None] - ref[None, :]).argmin(axis=1)]
+    assert np.all(np.abs(got - nearest) <= 1e-6 * np.maximum(np.abs(got), 1.0))
+    assert np.sum(got.real > 0.0) == np.sum(ref.real > 0.0)
 
 
 def test_sweep_rows_in_grid_order(tmp_path):

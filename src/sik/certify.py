@@ -19,10 +19,11 @@ counted exactly (contributing nothing to kappa) and excluded from the
 Lyapunov solve, which would otherwise be singular by construction.  The
 block-triangular structure makes the spectrum split exactly, so this loses
 nothing.  The kept block's weakly connected components decouple exactly
-too, and real coefficients make A[-p,-q] = conj(A[p,q]): of two mirror
-image components (checked with ==) one is solved, the other is its exact
-index-reversed conjugate.  So Lyapunov's equation is solved at most twice
-per truncation, on P (one side of each pair) and S (the rest).
+too, and real coefficients make A[-p,-q] = conj(A[p,q]): once that
+identity holds on every nonzero (checked with ==), of two mirror image
+components one is solved, the other is its exact index-reversed
+conjugate.  So Lyapunov's equation is solved at most twice per
+truncation, on P (one side of each pair) and S (the rest).
 """
 
 from __future__ import annotations
@@ -122,43 +123,28 @@ def exact_axis_split(A: np.ndarray, graph=None):
     return np.flatnonzero(~on_axis), np.flatnonzero(on_axis)
 
 
-def _mirror_split(A: np.ndarray, keep: np.ndarray, graph=None):
+def _mirror_split(A: np.ndarray, keep: np.ndarray, graph):
     """(P, S): one side of each mirror pair of kept components, and the rest.
 
-    When p -> -p (index i -> n-1-i) maps each weakly connected component
-    of the kept block onto one, P takes the smaller label of each pair (the
-    side of the largest entries first: smaller residuals) and S the
-    self-mirror ones; unless conj(A[P, P]) == A[P', P'] for P' the mirror
-    of P, S is all of keep.  Vectorised: there may be 2N+1 components.
+    When every nonzero of A equals its mirror's conjugate, A[n-1-i, n-1-j]
+    = conj(A[i, j]), p -> -p maps A's graph onto itself, strong components
+    and Re diag with it: keep is mirror-symmetric, each weak component of
+    the kept block has one mirror, and conj(A[P, P]) = A[P', P'].  P takes
+    the smaller label of each pair (the side of the largest entries first:
+    smaller residuals), S the self-mirror ones.  Otherwise, or up to
+    _SPLIT_MIN kept modes, S is all of keep: a non-real A whose P block
+    alone mirrors is solved whole, slower but as exact (OperatorSpec
+    refuses non-real coefficients).  Vectorised: 2N+1 components may occur.
     """
     if keep.size <= _SPLIT_MIN:
         return keep[:0], keep
     n = A.shape[0]
-    graph = _graph(A) if graph is None else graph
-    ncomp, lab = scipy.sparse.csgraph.connected_components(graph[keep][:, keep], connection="weak")
-    mlab = lab[::-1]  # each mode's mirror's component, once keep is mirror-symmetric
-    P = keep[mlab > lab]
-    if (
-        np.array_equal(keep, n - 1 - keep[::-1])
-        and np.unique(lab * ncomp + mlab).size == ncomp  # one mirror component each
-        and _mirror_equal(A, P, graph)
-    ):
-        return P, keep[mlab == lab]
-    return P[:0], keep
-
-
-def _mirror_equal(A: np.ndarray, P: np.ndarray, graph) -> bool:
-    """conj(A[P, P]) == A[P', P'] (P' = n-1-P), on the nonzeros of graph:
-    when each nonzero of A[P, P] equals its mirror's conjugate, the mirrors
-    are nonzeros of A[P', P'], so equal counts leave no other nonzero."""
-    n = A.shape[0]
     rows, cols = np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices
-    inP = np.zeros(n, dtype=bool)
-    inP[P] = True
-    own = inP[rows] & inP[cols]
-    r, c = rows[own], cols[own]
-    return (np.count_nonzero(inP[::-1][rows] & inP[::-1][cols]) == r.size
-            and np.array_equal(A[r, c].conj(), A[n - 1 - r, n - 1 - c]))
+    if not np.array_equal(A[rows, cols].conj(), A[n - 1 - rows, n - 1 - cols]):
+        return keep[:0], keep
+    lab = scipy.sparse.csgraph.connected_components(graph[keep][:, keep], connection="weak")[1]
+    mlab = lab[::-1]  # each mode's mirror's component
+    return keep[mlab > lab], keep[mlab == lab]
 
 
 def _now():
@@ -176,7 +162,8 @@ class _Truncation:
     """One truncation N: the entries A of P_N A P_N, its exact axis split,
     the kept block's parts (modes, weight 2 for P and its mirror, 1 for S),
     the whole kept block's eigenvalues, each part's U and the kept block's
-    residual (both None when a part's pencil is singular)."""
+    residual (both None when a part's pencil is singular).  The parts are
+    U's only form: it is zero between them, and P's mirror holds conj(U_P)."""
 
     N: int
     A: np.ndarray
@@ -186,15 +173,6 @@ class _Truncation:
     eigenvalues: np.ndarray
     Us: Optional[list] = None
     residual: Optional[float] = None
-
-    @property
-    def U(self) -> np.ndarray:
-        """The whole kept block's U, in keep order; zero between parts."""
-        U = np.zeros((self.keep.size,) * 2, dtype=complex)
-        for (m, w), V in zip(self.parts, self.Us):
-            for i, X in [(m, V), (2 * self.N - m, V.conj())][:w]:
-                U[np.ix_(*[np.searchsorted(self.keep, i)] * 2)] = X
-        return U
 
     @property
     def blocks(self) -> list:

@@ -76,6 +76,16 @@ def _require_count(obj, key):
     return int(val)
 
 
+def _object(obj, key, allowed, what="must be an object"):
+    """obj, a dict whose keys are all in allowed (None: any keys)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(key, what)
+    extra = set(obj) - set(obj if allowed is None else allowed)
+    if extra:
+        raise ConfigError(f"{key}.{sorted(extra)[0]}", "unknown key")
+    return obj
+
+
 def _coeff_list(entries, key):
     if entries is None:
         return TrigPoly.zero()
@@ -84,16 +94,13 @@ def _coeff_list(entries, key):
     pairs = []
     for i, item in enumerate(entries):
         here = f"{key}[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(here, "must be an object")
+        _object(item, here, None)
         if "mode" not in item:
             raise ConfigError(f"{here}.mode", "missing")
         mode = item["mode"]
         if not isinstance(mode, int) or isinstance(mode, bool) or mode < 0:
             raise ConfigError(f"{here}.mode", "must be an integer >= 0")
-        extra = set(item) - {"mode", "re", "im", "value"}
-        if extra:
-            raise ConfigError(f"{here}.{sorted(extra)[0]}", "unknown key")
+        _object(item, here, {"mode", "re", "im", "value"})
         if "value" in item:
             if "re" in item or "im" in item:
                 raise ConfigError(here, "give either value or re/im, not both")
@@ -112,26 +119,13 @@ def _coeff_list(entries, key):
 
 
 def _spec_from_config(config) -> OperatorSpec:
-    coeffs = config.get("coefficients")
-    if not isinstance(coeffs, dict):
-        raise ConfigError("coefficients", "missing or not an object")
+    coeffs = _object(config.get("coefficients"), "coefficients", {"benilov", "fourier"},
+                     "missing or not an object")
     sources = [k for k in ("benilov", "fourier") if k in coeffs]
-    extra = set(coeffs) - {"benilov", "fourier"}
-    if extra:
-        raise ConfigError(f"coefficients.{sorted(extra)[0]}", "unknown key")
     if len(sources) != 1:
-        raise ConfigError(
-            "coefficients", "exactly one of 'benilov' or 'fourier' is required"
-        )
+        raise ConfigError("coefficients", "exactly one of 'benilov' or 'fourier' is required")
     if sources[0] == "benilov":
-        ben = coeffs["benilov"]
-        if not isinstance(ben, dict):
-            raise ConfigError("coefficients.benilov", "must be an object")
-        extra = set(ben) - {"alpha1", "alpha2", "alpha3"}
-        if extra:
-            raise ConfigError(
-                f"coefficients.benilov.{sorted(extra)[0]}", "unknown key"
-            )
+        ben = _object(coeffs["benilov"], "coefficients.benilov", {"alpha1", "alpha2", "alpha3"})
         for k in ("alpha1", "alpha2", "alpha3"):
             if k not in ben:
                 raise ConfigError(f"coefficients.benilov.{k}", "missing")
@@ -139,12 +133,7 @@ def _spec_from_config(config) -> OperatorSpec:
         a2 = _require_number(ben["alpha2"], "coefficients.benilov.alpha2")
         a3 = _require_number(ben["alpha3"], "coefficients.benilov.alpha3", positive=True)
         return benilov_coefficients(a1, a2, a3)
-    four = coeffs["fourier"]
-    if not isinstance(four, dict):
-        raise ConfigError("coefficients.fourier", "must be an object")
-    extra = set(four) - {"a", "b", "c"}
-    if extra:
-        raise ConfigError(f"coefficients.fourier.{sorted(extra)[0]}", "unknown key")
+    four = _object(coeffs["fourier"], "coefficients.fourier", {"a", "b", "c"})
     return OperatorSpec(
         a=_coeff_list(four.get("a"), "coefficients.fourier.a"),
         b=_coeff_list(four.get("b"), "coefficients.fourier.b"),
@@ -240,12 +229,8 @@ def cmd_spectrum(config_path, out_path=None) -> int:
 
 
 def _grid_rows(config):
-    grid = config.get("grid")
-    if not isinstance(grid, dict):
-        raise ConfigError("grid", "missing or not an object (required for sweep)")
-    extra = set(grid) - {"alpha1", "alpha2", "alpha3"}
-    if extra:
-        raise ConfigError(f"grid.{sorted(extra)[0]}", "unknown key")
+    grid = _object(config.get("grid"), "grid", {"alpha1", "alpha2", "alpha3"},
+                   "missing or not an object (required for sweep)")
     axes = []
     for k in ("alpha1", "alpha2", "alpha3"):
         vals = grid.get(k, [])

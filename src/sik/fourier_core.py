@@ -58,10 +58,6 @@ class TrigPoly:
                     items[-p] = v.conjugate()
                 elif p == 0:
                     items[0] = complex(v.real, 0.0)
-            for p, v in sym.items():
-                if p < 0 and -p not in sym:
-                    items[p] = v
-                    items[-p] = v.conjugate()
         self.coeffs = items
         self.real = bool(real)
 

@@ -85,16 +85,15 @@ def _matrix_scale(A: np.ndarray) -> float:
     return float(min(fro, math.sqrt(one * inf)))
 
 
-def _sign_band(A: np.ndarray, U=None, residual=None) -> float:
+def _sign_band(A: np.ndarray, blocks=(), residual=None) -> float:
     """Half-width of the band around zero inside which no sign is decided.
 
     With a solve A^H U + U A = I + R, ||R||_2 <= residual sqrt(n) < 1,
     every eigenvalue of A has |Re l| >= (1 - ||R||) / (2 ||U||) (Ostrowski
-    & Schneider, JMAA 4, 1962): the band is half that certified gap; a
-    block-diagonal U may come as the list of its diagonal blocks.  Without
-    one, it is the backward-error floor n eps ||A||.
+    & Schneider, JMAA 4, 1962): the band is half that certified gap, U
+    given as the list of its diagonal blocks (zero between them).  Without
+    them, it is the backward-error floor n eps ||A||.
     """
-    blocks = [U] if isinstance(U, np.ndarray) else list(U or ())
     n = sum(b.shape[0] for b in blocks)
     if n:
         slack = 1.0 - residual * math.sqrt(n)

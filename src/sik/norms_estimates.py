@@ -59,8 +59,8 @@ def _sigma_max(W: np.ndarray) -> float:
         v = np.maximum(w / np.max(w), 1e-12)
     # each (W^T W v)_i sums nonnegative terms: relative rounding < 2 n eps;
     # abrupt underflow (lyapunov._Dense) moves an entry of W or a term of
-    # W^T W v by less than 2 N^4 tiny (N <= 1e3, tiny = 2.2e-308), far
-    # inside the spare 2 n eps whenever max W > 1e-120
+    # W^T W v by less than 2 N^4 tiny < 1e-290 (tiny = 2.2e-308, N <= 1e4),
+    # far inside the spare 2 n eps whenever max W > 1e-120
     return math.sqrt(upper * (1.0 + 4.0 * W.shape[0] * np.finfo(float).eps))
 
 
@@ -102,31 +102,28 @@ def estimate_triple_U(U_sol, M: float) -> TailReport:
     return _tail_report(U_sol.N, M, lambda: triple_norm(U_sol.K))
 
 
-def estimate_triple_U_kept(U: np.ndarray, keep: np.ndarray, N: int, M: float) -> TailReport:
-    """estimate_triple_U for a solution U known only on the modes keep - N.
+def estimate_triple_U_kept(Us: list, modes: list, N: int, M: float) -> TailReport:
+    """estimate_triple_U for a solution U known only as its diagonal blocks Us, on modes - N.
 
     K = U - U0 stays in the operator view, W = (2 + p^4 + q^4)
     |U/(2 pi) - diag(u0hat)|, with the rows and columns of the modes
-    outside keep zero: no equation constrains them.  The kernel view is W
-    with its columns reversed, which leaves sigma_max alone; a contiguous
-    copy of that reversed view sums the bound's products in the kernel
-    view's order, so both views give the same bound bit for bit.
-    U and keep may also list decoupled diagonal blocks of U and their modes:
-    sigma_max is the largest block's, each W on its modes' range of p.
+    outside the blocks zero: no equation constrains them.  sigma_max is
+    the largest block's, each W on its modes' range of p.  The kernel view
+    is W with its columns reversed, which leaves sigma_max alone; a
+    contiguous copy of that reversed view sums the bound's products in the
+    kernel view's order, so both views give the same bound bit for bit.
     """
-    if isinstance(U, np.ndarray):
-        U, keep = [U], [keep]
 
-    def sigma_max(U, keep):
-        lo, hi = keep.min(), keep.max() + 1
+    def sigma_max(U, m):
+        lo, hi = m.min(), m.max() + 1
         X = U / _TWO_PI
-        X[np.diag_indices_from(X)] -= green_kernel(N).diag_coeffs[keep]
+        X[np.diag_indices_from(X)] -= green_kernel(N).diag_coeffs[m]
         W = np.zeros((hi - lo, hi - lo))
-        W[np.ix_(keep - lo, keep - lo)] = np.abs(X)
+        W[np.ix_(m - lo, m - lo)] = np.abs(X)
         W *= _weights(N)[lo:hi, lo:hi]
         return _sigma_max(np.ascontiguousarray(W[:, ::-1]))
 
-    return _tail_report(N, M, lambda: _TWO_PI * max(map(sigma_max, U, keep), default=0.0))
+    return _tail_report(N, M, lambda: _TWO_PI * max(map(sigma_max, Us, modes), default=0.0))
 
 
 def tail_bound(M: float, N: int, tripleU: float) -> float:

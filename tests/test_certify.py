@@ -637,7 +637,7 @@ def test_mirror_split_pairs_benilov_kept_block(alpha, N):
     # else 1), so the kept block is those two halves, exact mirror images
     A = assemble_A(benilov_coefficients(*alpha), N).entries
     keep, _ = exact_axis_split(A)
-    P, S = _mirror_split(A, keep)
+    P, S = _mirror_split(A, keep, _graph(A))
     k = 2 if alpha[0] == 0.0 else 1
     assert (P - N).tolist() == list(range(-N, 1 - k)) and S.size == 0
     Q = 2 * N - P
@@ -655,18 +655,19 @@ def test_mirror_split_keeps_components_whole():
     A = np.diag(-(1.0 + p**2) + 1j * p)
     A[0, N] = A[N, 0] = 1.0
     keep = np.arange(2 * N + 1)
-    P, S = _mirror_split(A, keep)
+    P, S = _mirror_split(A, keep, _graph(A))
     assert P.size == 0 and np.array_equal(S, keep)
     # the mirror coupling of p = N to p = 0 makes {-N, 0, N} self-mirror
     A[2 * N, N] = A[N, 2 * N] = 1.0
-    P, S = _mirror_split(A, keep)
+    P, S = _mirror_split(A, keep, _graph(A))
     assert (P - N).tolist() == list(range(1 - N, 0)) and (S - N).tolist() == [-N, 0, N]
 
 
 def reference_splits(A):
     """keep, axis, P, S and both label arrays from a dense boolean pattern
     turned into scipy.sparse, with the kept block's pattern cut by fancy
-    indexing: the construction that the shared _graph replaced."""
+    indexing: the construction that the shared _graph replaced.  The split
+    keeps the three conditions that the one mirror identity replaced."""
     n = A.shape[0]
     strong = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix((A != 0.0).astype(np.int8)), connection="strong"
@@ -734,8 +735,7 @@ def test_shared_graph_splits_equal_dense_pattern_splits():
             assert np.array_equal(got, labels)
         for got in (exact_axis_split(A), exact_axis_split(A, graph)):
             assert all(map(np.array_equal, got, (keep, axis)))
-        for got in (_mirror_split(A, keep), _mirror_split(A, keep, graph)):
-            assert all(map(np.array_equal, got, (P, S)))
+        assert all(map(np.array_equal, _mirror_split(A, keep, graph), (P, S)))
 
 
 def test_mirror_split_needs_equal_values_and_pattern():
@@ -745,7 +745,7 @@ def test_mirror_split_needs_equal_values_and_pattern():
     N = 60
     A = assemble_A(benilov_coefficients(0.0, 1.0, 0.02), N).entries
     keep, _ = exact_axis_split(A)
-    P, S = _mirror_split(A, keep)
+    P, S = _mirror_split(A, keep, _graph(A))
     assert P.size and not S.size
     i, j = P[0], P[1]  # p = -N and -N+1: coupled, so A[i, j] != 0
     Q = 2 * N - P  # P's mirror modes
@@ -757,8 +757,27 @@ def test_mirror_split_needs_equal_values_and_pattern():
     for B in (changed, extra):
         ref = reference_splits(B)
         assert np.array_equal(ref[0], keep) and np.array_equal(ref[3], keep)
-        for got in (_mirror_split(B, keep), _mirror_split(B, keep, _graph(B))):
-            assert got[0].size == 0 and np.array_equal(got[1], keep)
+        got = _mirror_split(B, keep, _graph(B))
+        assert got[0].size == 0 and np.array_equal(got[1], keep)
+    # so must a value off its mirror outside both halves: A[p=2, q=1]
+    # couples kept mode 2 to axis mode 1, where P's block alone mirrors
+    coupling = A.copy()
+    assert A[N + 2, N + 1] != 0.0 and N + 1 not in keep
+    coupling[N + 2, N + 1] *= 1.0 + 1e-15
+    ref = reference_splits(coupling)
+    assert np.array_equal(ref[0], keep) and np.array_equal(ref[2], P) and P.size == 59
+    got = _mirror_split(coupling, keep, _graph(coupling))
+    assert got[0].size == 0 and np.array_equal(got[1], keep) and keep.size == 118
+
+
+def whole_U(t):
+    """The whole kept block's U, in keep order, assembled from t's parts:
+    zero between parts, conj(U_P) on P's mirror."""
+    U = np.zeros((t.keep.size,) * 2, dtype=complex)
+    for (m, w), V in zip(t.parts, t.Us):
+        for i, X in [(m, V), (2 * t.N - m, V.conj())][:w]:
+            U[np.ix_(*[np.searchsorted(t.keep, i)] * 2)] = X
+    return U
 
 
 @pytest.mark.parametrize(
@@ -769,7 +788,7 @@ def test_split_lambda_max_is_the_larger_part(spec, N):
     # reversed; for c = 0.01 the mode-0 part S holds the largest entry
     t = _solve_truncation(spec, N)
     M = sik.constant_M(spec)
-    whole = sik.certify.estimate_triple_U_kept(t.U, t.keep, N, M).tripleU_upper
+    whole = sik.certify.estimate_triple_U_kept([whole_U(t)], [t.keep], N, M).tripleU_upper
     assert sik.certify._bracket(t, M).tripleU_upper == pytest.approx(whole, rel=1e-12)
 
 
@@ -783,23 +802,23 @@ def test_split_solve_matches_whole_block_solve(alpha, N):
     assert weight == 2
     K = t.A[np.ix_(t.keep, t.keep)]
     U, ev, residual, _ = solve_lyapunov_core(K)
-    half = np.isin(t.keep, P)
+    half, tU = np.isin(t.keep, P), whole_U(t)
     # the whole solve's U is already exactly zero between the halves
-    assert not U[np.ix_(half, ~half)].any() and not t.U[np.ix_(half, ~half)].any()
-    assert np.linalg.norm(t.U - U) <= 1e-11 * np.linalg.norm(U)
+    assert not U[np.ix_(half, ~half)].any() and not tU[np.ix_(half, ~half)].any()
+    assert np.linalg.norm(tU - U) <= 1e-11 * np.linalg.norm(U)
     dist = np.abs(t.eigenvalues[:, None] - ev[None, :])
     assert np.max(dist.min(axis=0) / np.abs(ev)) <= 1e-11
     assert np.max(dist.min(axis=1) / np.abs(t.eigenvalues)) <= 1e-11
     # the residual is the assembled U's in the whole equation; R is rounding
     # noise, so two products of it agree in their leading digit only (a
     # mirror pair counted once would be off by sqrt 2)
-    R = K.conj().T @ t.U + t.U @ K - np.eye(K.shape[0])
+    R = K.conj().T @ tU + tU @ K - np.eye(K.shape[0])
     whole_residual = np.linalg.norm(R) / np.sqrt(K.shape[0])
     assert t.residual == pytest.approx(whole_residual, rel=0.05, abs=0.0)
     assert max(t.residual, residual) <= 1e-11
     # the sign band keeps the whole-U formula, ||U||_F^2 = 2 ||U_P||_F^2
     band = sik.certify._sign_band(t.A, t.blocks, t.residual)
-    assert band == pytest.approx(sik.certify._sign_band(t.A, t.U, whole_residual), rel=1e-12)
+    assert band == pytest.approx(sik.certify._sign_band(t.A, [tU], whole_residual), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -840,7 +859,7 @@ def test_unpaired_kept_block_takes_single_solve(monkeypatch):
         ((S, weight),) = t.parts
         assert weight == 1 and np.array_equal(S, t.keep)
         U, ev, residual, _ = solve_lyapunov_core(t.A[t.keep][:, t.keep])
-        assert np.array_equal(t.U, U) and np.array_equal(t.eigenvalues, ev)
+        assert np.array_equal(whole_U(t), U) and np.array_equal(t.eigenvalues, ev)
         assert t.residual == residual
 
 

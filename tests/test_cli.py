@@ -21,6 +21,7 @@ import scipy.linalg
 import sik.cli
 import sik.lyapunov
 from sik import CertifyOptions
+from sik.certify import _Truncation
 from sik.cli import main
 from sik.fourier_core import Kernel2D
 from sik.lyapunov import GreenKernel
@@ -187,7 +188,7 @@ def test_public_surface():
         "sector_params", "indefinite_gram_schmidt", "NeutralVectorEncountered",
         "DispersionOracle", "lambda_max_statistic", "MaxTruncationExceeded",
         "assemble_A_star", "_assemble", "_closed_form_constants",
-        "kernel2d_sobolev_norm",
+        "kernel2d_sobolev_norm", "_mirror_equal",
     }
     modules = [sik] + [
         importlib.import_module(f"sik.{info.name}")
@@ -200,6 +201,7 @@ def test_public_surface():
         (Kernel2D, ("restricted", "modes")),
         (GreenKernel, ("closed_form", "matrix_diag")),
         (SpectralMatrix, ("entry",)),
+        (_Truncation, ("U",)),
     ):
         for attr in attrs:
             assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"

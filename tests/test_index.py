@@ -92,8 +92,10 @@ def test_ldl_count_in_scaled_frame_of_film_block():
     # eigvalsh count is still right, and both read the film's kappa = 4
     N = 60
     t = _solve_truncation(benilov_coefficients(0.0, 1.0, 0.02), N)
-    d2 = d_weights(N)[t.keep] ** 2
-    assert _ldl_n_plus(d2[:, None] * t.U * d2[None, :]) == inertia_hermitian(t.U).n_plus == 4
+    d2 = d_weights(N) ** 2
+    parts = list(zip(t.parts, t.Us))
+    ldl = sum(w * _ldl_n_plus(d2[m, None] * U * d2[None, m]) for (m, w), U in parts)
+    assert ldl == sum(w * inertia_hermitian(U).n_plus for (_, w), U in parts) == 4
 
 
 def test_ldl_count_refuses_pivot_inside_band(monkeypatch):
@@ -122,16 +124,16 @@ def test_sign_band_clears_every_schur_eigenvalue():
         for _ in range(10):
             A, _ = _random_with_margin(rng, n, 0.1)
             U, ev, residual, _ = solve_lyapunov_core(A)
-            solves.append((A, U, ev, residual))
+            solves.append((A, [U], ev, residual))
     for a0, b0, c0 in [(0.0, 0.0, -3.0), (2.0, 1.0, 5.0), (-4.0, 3.0, 0.5), (9.0, -2.0, 0.0)]:
         const = [TrigPoly.constant(v) for v in (a0, b0, c0)]
         t = _solve_truncation(OperatorSpec(*const), 12)
-        solves.append((t.A, t.U, t.eigenvalues, t.residual))
-    for A, U, ev, residual in solves:
+        solves.append((t.A, t.blocks, t.eigenvalues, t.residual))
+    for A, blocks, ev, residual in solves:
         floor = A.shape[0] * np.finfo(float).eps * _matrix_scale(A)
         assert _sign_band(A) == floor
-        assert _sign_band(A, U, 1.0) == floor  # no slack: the solve certifies nothing
-        band = _sign_band(A, U, residual)
+        assert _sign_band(A, blocks, 1.0) == floor  # no slack: the solve certifies nothing
+        band = _sign_band(A, blocks, residual)
         assert band != floor
         assert np.min(np.abs(ev.real)) >= 2.0 * band
 

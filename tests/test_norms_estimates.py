@@ -228,7 +228,7 @@ def test_kept_block_lambda_max_equals_kernel_view():
     for N in (12, 60):
         sol = solve_finite_lyapunov(assemble_A(spec, N))
         ref = estimate_triple_U(sol, M)
-        got = estimate_triple_U_kept(sol.U.entries, np.arange(2 * N + 1), N, M)
+        got = estimate_triple_U_kept([sol.U.entries], [np.arange(2 * N + 1)], N, M)
         assert got.lambda_max == triple_norm(sol.K)
         assert got == ref
 
@@ -252,7 +252,7 @@ def test_kept_block_lambda_max_equals_kernel_view_axis_peeled():
     sol = LyapunovSolution(
         U=None, K=Kernel2D(K), residual=resid, N=N, eigenvalues=evs, pair_min=pair_min
     )
-    got = estimate_triple_U_kept(U_S, keep, N, M)
+    got = estimate_triple_U_kept([U_S], [keep], N, M)
     assert got.lambda_max == triple_norm(sol.K)
     assert got == estimate_triple_U(sol, M)
 
@@ -264,4 +264,4 @@ def test_kept_block_delta_checked_before_svd(monkeypatch):
     monkeypatch.setattr(sik.norms_estimates, "_sigma_max", no_svd)
     U = np.eye(5, dtype=complex)
     with pytest.raises(DeltaTooLarge):
-        estimate_triple_U_kept(U, np.arange(5), 2, 4.0)
+        estimate_triple_U_kept([U], [np.arange(5)], 2, 4.0)

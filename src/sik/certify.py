@@ -104,7 +104,7 @@ def _graph(A: np.ndarray):
     """A's nonzero pattern as a CSR adjacency, its arrays built directly."""
     rows, cols = np.divmod(np.flatnonzero(A != 0.0), A.shape[1])  # rows ascending
     indptr = np.searchsorted(rows, np.arange(A.shape[0] + 1))
-    return scipy.sparse.csr_matrix((np.ones(rows.size, np.int8), cols, indptr), A.shape)
+    return scipy.sparse.csr_matrix((np.ones(rows.size), cols, indptr), A.shape)
 
 
 def exact_axis_split(A: np.ndarray, graph=None):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import math
 import sys
@@ -43,16 +44,6 @@ _EXIT_BY_STATUS = {
 }
 
 _OPTION_KEYS = {"max_N", "max_iterations", "N"}
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}")
 
 
 def _require_number(obj, key, positive=False):
@@ -153,6 +144,20 @@ def _options_from_config(config):
     return CertifyOptions(**counts), fixed_N
 
 
+def _read_config(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError("config", f"file not found: {path}")
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigError("config", f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError("config", f"invalid JSON: {exc}")
+    _check_top_level(config)
+    return config
+
+
 def _check_top_level(config):
     if not isinstance(config, dict):
         raise ConfigError("config", "top level must be a JSON object")
@@ -177,8 +182,7 @@ def _certificate_json(cert: Certificate) -> str:
 
 
 def cmd_index(config_path, out_path=None) -> int:
-    config = _load_json(config_path)
-    _check_top_level(config)
+    config = _read_config(config_path)
     spec = _spec_from_config(config)
     opts, _ = _options_from_config(config)
     cert = certified_index(spec, opts)
@@ -193,8 +197,7 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def cmd_spectrum(config_path, out_path=None) -> int:
-    config = _load_json(config_path)
-    _check_top_level(config)
+    config = _read_config(config_path)
     spec = _spec_from_config(config)
     opts, fixed_N = _options_from_config(config)
     out = out_path or config.get("output")
@@ -237,12 +240,7 @@ def _grid_rows(config):
         if not isinstance(vals, list):
             raise ConfigError(f"grid.{k}", "must be a list of numbers")
         axes.append([_require_number(v, f"grid.{k}[{i}]") for i, v in enumerate(vals)])
-    rows = []
-    for a1 in axes[0]:
-        for a2 in axes[1]:
-            for a3 in axes[2]:
-                rows.append((a1, a2, a3))
-    return rows
+    return list(itertools.product(*axes))
 
 
 def _sweep_row(alphas, opts):
@@ -257,20 +255,13 @@ def _sweep_row(alphas, opts):
 
 
 def cmd_sweep(config_path, out_path=None, jobs=1) -> int:
-    config = _load_json(config_path)
-    _check_top_level(config)
+    if jobs < 1:
+        raise ConfigError("--jobs", "must be >= 1")
+    config = _read_config(config_path)
     opts, _ = _options_from_config(config)
     rows = _grid_rows(config)
-
-    results = [None] * len(rows)
-    if rows:
-        workers = max(1, int(jobs))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_sweep_row, alphas, opts): i for i, alphas in enumerate(rows)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(_sweep_row, rows, itertools.repeat(opts)))
 
     lines = ["alpha1,alpha2,alpha3,kappa,status,N_final"]
     for a1, a2, a3, kappa, status, n_final in results:

@@ -14,6 +14,7 @@ the plain L^2 norms in both cases.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -179,10 +180,13 @@ def sobolev_norm(f: TrigPoly, s: float) -> float:
     return math.sqrt(_TWO_PI * total)
 
 
-_LEIBNITZ_CACHE = None
+@functools.cache
+def leibnitz_constant() -> float:
+    """Constant C in ||a phi||_{L^2} <= C ||a||_{H^1} ||phi||_{L^2}.
 
-
-def _leibnitz_series():
+    Default is (S/(2 pi))^{1/2} with S = sum_p (1+p^4)^{-1/2} summed with a
+    rigorous integral tail bound.
+    """
     # S = sum over all integers of (1+p^4)^{-1/2}, with the tail |p| > P
     # bounded by 2 sum_{p>P} p^{-2} < 2/P, added so the result stays an
     # upper bound.
@@ -190,15 +194,3 @@ def _leibnitz_series():
     p = np.arange(1, P + 1, dtype=float)
     S = 1.0 + 2.0 * float(np.sum(1.0 / np.sqrt(1.0 + p**4))) + 2.0 / P
     return math.sqrt(S / _TWO_PI)
-
-
-def leibnitz_constant() -> float:
-    """Constant C in ||a phi||_{L^2} <= C ||a||_{H^1} ||phi||_{L^2}.
-
-    Default is (S/(2 pi))^{1/2} with S = sum_p (1+p^4)^{-1/2} summed with a
-    rigorous integral tail bound.
-    """
-    global _LEIBNITZ_CACHE
-    if _LEIBNITZ_CACHE is None:
-        _LEIBNITZ_CACHE = _leibnitz_series()
-    return _LEIBNITZ_CACHE

@@ -120,14 +120,15 @@ _TRSYL_BLOCK = 64
 
 # On a 2-core x86-64 machine OpenBLAS's second thread loses below ~700 modes,
 # erratically: a 64 x 64 complex product takes 0.05 ms on one thread and, at
-# p90, 16 ms on two; a solve at n = 255 89-98 ms against 139-224 ms.  At
-# n = 954 two threads win (1.42-1.68 s against 1.74-1.82 s).
+# p90, 16 ms on two; a solve at n = 255 89-98 ms against 139-224 ms.  Two
+# threads win above, flushed: certified_index on parts of 767 modes 1.03-1.16 s
+# (one thread 1.14-1.18 s), on parts of 955 1.61-2.05 s (1.77-2.12 s).
 _SERIAL_MAX = 640
 
 
 def _openblas_calls():
     """(get, set) thread-count calls of the OpenBLAS numpy and scipy wheels
-    bundle; with none found, _OneBlasThread changes nothing."""
+    bundle; with none found, _Dense holds no thread count."""
     calls = []
     for pkg in (np, scipy):
         libs = os.path.dirname(pkg.__file__) + ".libs"  # numpy.libs, scipy.libs
@@ -138,29 +139,6 @@ def _openblas_calls():
             calls += [(getattr(lib, n.format("get")), getattr(lib, n.format("set")))
                       for n in names if hasattr(lib, n.format("get"))]
     return calls
-
-
-class _OneBlasThread:
-    """Holds the bundled OpenBLAS at one thread while any caller is inside,
-    in whichever thread; the last to leave puts the counts back.  Meanwhile
-    every BLAS call in the process runs serially."""
-
-    lock, holders, saved, calls = threading.Lock(), 0, [], _openblas_calls()
-
-    def __enter__(self):
-        with self.lock:
-            if _OneBlasThread.holders == 0:
-                _OneBlasThread.saved = [get() for get, _ in self.calls]
-                for _, put in self.calls:
-                    put(1)
-            _OneBlasThread.holders += 1
-
-    def __exit__(self, *exc):
-        with self.lock:
-            _OneBlasThread.holders -= 1
-            if _OneBlasThread.holders == 0:
-                for (_, put), threads in zip(self.calls, self.saved):
-                    put(threads)
 
 
 class _FEnv(ctypes.Structure):
@@ -186,9 +164,11 @@ def _fenv_calls():
 
 
 class _Dense:
-    """Context for dense work on blocks of n modes: one BLAS thread for
-    n <= _SERIAL_MAX (_OneBlasThread), and abrupt underflow in the calling
-    thread for every n, its MXCSR put back on exit.
+    """Context for dense work on blocks of n modes: for n <= _SERIAL_MAX,
+    the bundled OpenBLAS at one thread while any such holder is inside, in
+    whichever thread (the last to leave puts the counts back; meanwhile
+    every BLAS call in the process runs serially); for every n, abrupt
+    underflow in the calling thread, its MXCSR put back on exit.
 
     Film's kept blocks are far from normal: most entries of their Schur
     vectors underflow, and arithmetic on subnormal numbers is slow (film's
@@ -198,27 +178,36 @@ class _Dense:
     LAPACK's scaling tolerates.  OpenBLAS's own worker threads, above
     _SERIAL_MAX, keep gradual underflow: correct, only slower."""
 
+    lock, holders, saved, calls = threading.Lock(), 0, [], _openblas_calls()
     fenv = _fenv_calls()
 
     def __init__(self, n: int):
-        self.blas = _OneBlasThread() if n <= _SERIAL_MAX else None
-        self.saved = _FEnv()
+        self.serial = n <= _SERIAL_MAX
+        self.env = _FEnv()
 
     def __enter__(self):
-        if self.blas:
-            self.blas.__enter__()
+        if self.serial:
+            with self.lock:
+                if _Dense.holders == 0:
+                    _Dense.saved = [get() for get, _ in self.calls]
+                    for _, put in self.calls:
+                        put(1)
+                _Dense.holders += 1
         if self.fenv:
-            get, put = self.fenv
-            get(self.saved)
-            flushed = _FEnv.from_buffer_copy(self.saved)
+            self.fenv[0](self.env)
+            flushed = _FEnv.from_buffer_copy(self.env)
             flushed.mxcsr |= _FTZ_DAZ
-            put(flushed)
+            self.fenv[1](flushed)
 
     def __exit__(self, *exc):
         if self.fenv:
-            self.fenv[1](self.saved)
-        if self.blas:
-            self.blas.__exit__(*exc)
+            self.fenv[1](self.env)
+        if self.serial:
+            with self.lock:
+                _Dense.holders -= 1
+                if _Dense.holders == 0:
+                    for (_, put), threads in zip(self.calls, self.saved):
+                        put(threads)
 
 
 def _solve_sylvester(trsyl, A, B, X):

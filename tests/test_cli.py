@@ -188,7 +188,8 @@ def test_public_surface():
         "sector_params", "indefinite_gram_schmidt", "NeutralVectorEncountered",
         "DispersionOracle", "lambda_max_statistic", "MaxTruncationExceeded",
         "assemble_A_star", "_assemble", "_closed_form_constants",
-        "kernel2d_sobolev_norm", "_mirror_equal",
+        "kernel2d_sobolev_norm", "_mirror_equal", "_OneBlasThread", "_load_json",
+        "_leibnitz_series", "_LEIBNITZ_CACHE",
     }
     modules = [sik] + [
         importlib.import_module(f"sik.{info.name}")
@@ -210,6 +211,24 @@ def test_public_surface():
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert main(["index", "--config", str(tmp_path / "nope.json")]) == 1
     assert "file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["index", "spectrum", "sweep"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, command):
+    # a directory raises IsADirectoryError, an OSError beside FileNotFoundError
+    assert main([command, "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config: cannot read {tmp_path}: ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert main(["index", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: invalid JSON: ")
+    assert "Traceback" not in err
 
 
 def test_spectrum_requires_output(tmp_path, capsys):
@@ -458,6 +477,18 @@ def test_sweep_empty_grid_header_only(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     assert text == "alpha1,alpha2,alpha3,kappa,status,N_final\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, {"grid": {"alpha3": [0.5]}}, name="grid.json")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == "config error: --jobs: must be >= 1\n"
+    assert not out.exists()
+    # checked before the config is read
+    assert main(["sweep", "--config", str(tmp_path / "nope.json"), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == "config error: --jobs: must be >= 1\n"
 
 
 def test_sweep_requires_grid(tmp_path, capsys):

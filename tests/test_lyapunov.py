@@ -251,7 +251,7 @@ def test_serial_blas_pins_one_thread_and_restores(monkeypatch):
     # a solve on at most _SERIAL_MAX modes runs on one OpenBLAS thread; a
     # larger block leaves the count alone, and the count comes back only
     # when the last holder, in whichever thread, leaves
-    libs = sik.lyapunov._OneBlasThread.calls
+    libs = sik.lyapunov._Dense.calls
     if not libs:
         pytest.skip("numpy and scipy bundle no OpenBLAS")
 
@@ -294,7 +294,7 @@ def test_serial_blas_holders_under_thread_stress():
     # short switch interval: a lost update of the holder count would put
     # the thread counts back while a holder is still inside, or not at all;
     # each thread's own MXCSR must come back as it was
-    libs = sik.lyapunov._OneBlasThread.calls
+    libs = sik.lyapunov._Dense.calls
     if not libs:
         pytest.skip("numpy and scipy bundle no OpenBLAS")
     before, wrong, states = [get() for get, _ in libs], [], []
@@ -320,7 +320,7 @@ def test_serial_blas_holders_under_thread_stress():
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
-    assert not wrong and sik.lyapunov._OneBlasThread.holders == 0
+    assert not wrong and sik.lyapunov._Dense.holders == 0
     assert [get() for get, _ in libs] == before
     assert len(states) == 4 and all(start == end for start, end in states)
 

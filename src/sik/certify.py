@@ -34,13 +34,13 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
 from .errors import DeltaTooLarge, NearSingularPencil
 from .index import _ldl_n_plus, count_half_plane
-from .lyapunov import _RESIDUAL_TOL, _Dense, _sign_band, solve_lyapunov_core
+from .lyapunov import (_RESIDUAL_TOL, _Dense, _parts_scale, _schur, _sign_band,
+                       solve_lyapunov_core)
 from .norms_estimates import TailReport, estimate_triple_U_kept
 from .operator_assembly import OperatorSpec, assemble_A, constant_M, d_weights
 
@@ -116,9 +116,11 @@ def exact_axis_split(A: np.ndarray, graph=None):
     floating-point ambiguity.  keep is the complement, in order.  graph is
     _graph(A) when the caller already holds it.
     """
-    _, labels = scipy.sparse.csgraph.connected_components(
-        _graph(A) if graph is None else graph, connection="strong"
-    )
+    graph = _graph(A) if graph is None else graph
+    if graph.nnz == np.count_nonzero(np.diagonal(A)):  # diagonal: as csgraph would label
+        labels = np.arange(A.shape[0])
+    else:
+        labels = scipy.sparse.csgraph.connected_components(graph, connection="strong")[1]
     on_axis = (np.bincount(labels)[labels] == 1) & (np.diagonal(A).real == 0.0)
     return np.flatnonzero(~on_axis), np.flatnonzero(on_axis)
 
@@ -142,7 +144,10 @@ def _mirror_split(A: np.ndarray, keep: np.ndarray, graph):
     rows, cols = np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices
     if not np.array_equal(A[rows, cols].conj(), A[n - 1 - rows, n - 1 - cols]):
         return keep[:0], keep
-    lab = scipy.sparse.csgraph.connected_components(graph[keep][:, keep], connection="weak")[1]
+    if graph.nnz == np.count_nonzero(np.diagonal(A)):  # diagonal: as csgraph would label
+        lab = np.arange(keep.size)
+    else:
+        lab = scipy.sparse.csgraph.connected_components(graph[keep][:, keep], connection="weak")[1]
     mlab = lab[::-1]  # each mode's mirror's component
     return keep[mlab > lab], keep[mlab == lab]
 
@@ -194,11 +199,11 @@ def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
     graph = _graph(A)
     keep, axis = exact_axis_split(A, graph)
     parts = [(m, w) for m, w in zip(_mirror_split(A, keep, graph), (2, 1)) if m.size]
-    whole, solves = A[np.ix_(keep, keep)], []
-    for m, _ in parts:
-        block = whole if m.size == keep.size else A[np.ix_(m, m)]
+    blocks, solves = [A[np.ix_(m, m)] for m, _ in parts], []
+    scale = _parts_scale(blocks, [w for _, w in parts])
+    for block in blocks:
         try:
-            solves.append(solve_lyapunov_core(block, whole))
+            solves.append(solve_lyapunov_core(block, scale))
         except NearSingularPencil as exc:
             solves.append((None, exc.eigenvalues, None, None))
     t = _Truncation(N=N, A=A, keep=keep, axis=axis, parts=parts,
@@ -330,7 +335,7 @@ def cross_validate(cert: Certificate, spec: OperatorSpec):
         A_N = t2.A[N : 3 * N + 1, N : 3 * N + 1]  # modes |p| <= N: exactly P_N A P_N
         sel = [np.abs(m - 2 * N) <= N for m, _ in t2.parts]
         rows = [m[s] - N for (m, _), s in zip(t2.parts, sel)]
-        T_N = [scipy.linalg.schur(A_N[np.ix_(r, r)], output="complex")[0] for r in rows]
+        T_N = [_schur(A_N[np.ix_(r, r)])[0] for r in rows]
         ev_N = _expand(t2.parts, map(np.diagonal, T_N))
         report["kappa_N"], _, report["n_zero_N"], _ = count_half_plane(ev_N, _sign_band(A_N))
         report["kappa_2N"], _, report["n_zero_2N"], _ = count_half_plane(

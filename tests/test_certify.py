@@ -42,8 +42,9 @@ from sik.certify import (
     _solve_truncation,
     exact_axis_split,
 )
+from sik.errors import NearSingularPencil
 from sik.index import _ldl_n_plus
-from sik.lyapunov import _sign_band, solve_lyapunov_core
+from sik.lyapunov import _matrix_scale, _parts_scale, _sign_band, solve_lyapunov_core
 from sik.operator_assembly import d_weights
 
 
@@ -222,7 +223,7 @@ def test_benilov_certificate_frozen():
     assert (cert.cond1_ok, cert.cond2_ok) == (True, True)
     assert cert.M == 62.0
     assert cert.delta_N == 0.0033520761245674742
-    assert cert.axis_gap == 32.88920275816042
+    assert cert.axis_gap == 32.88920275816025
     assert cert.tripleU_upper == pytest.approx(29.148826876056955, rel=1e-12)
     assert cert.residual <= 1e-13
 
@@ -390,7 +391,7 @@ def test_film_certificate_frozen():
     [
         (0.01, 1024, 6, 768),
         pytest.param(0.005, 1024, 10, 956, marks=pytest.mark.slow),
-        # about 13 s and 1.2 GB peak RSS on a 2-core x86-64 box
+        # about 7 s and 0.9 GB peak RSS on a 2-core x86-64 box
         pytest.param(0.002, 4096, 16, 2246, marks=pytest.mark.slow),
     ],
 )
@@ -527,7 +528,7 @@ def test_one_truncated_solve_pipeline():
     sites = {
         "solve_lyapunov_core": [],
         "exact_axis_split": [],
-        "schur": [],
+        "_schur": [],
         "eigvalsh": [],
         "eigvals": [],
         "_ldl_n_plus": [],
@@ -556,7 +557,7 @@ def test_one_truncated_solve_pipeline():
     assert sites == {
         "solve_lyapunov_core": ["_solve_truncation"],
         "exact_axis_split": ["_solve_truncation"],
-        "schur": ["cross_validate"],
+        "_schur": ["cross_validate"],
         "eigvalsh": ["cross_validate"],
         "eigvals": [],
         "_ldl_n_plus": ["_certify"],
@@ -736,6 +737,50 @@ def test_shared_graph_splits_equal_dense_pattern_splits():
         for got in (exact_axis_split(A), exact_axis_split(A, graph)):
             assert all(map(np.array_equal, got, (keep, axis)))
         assert all(map(np.array_equal, _mirror_split(A, keep, graph), (P, S)))
+
+
+def test_diagonal_splits_build_no_components(monkeypatch):
+    # a diagonal A (constant coefficients; and with imaginary rows the axis
+    # split peels) labels each mode by its index, as csgraph does for a
+    # graph of self-loops, without calling it
+    cases = [assemble_A(constant_spec(*c), 30).entries
+             for c in [(3.0, 1.0, 2.0), (-7.5, 4.0, 0.0), (0.0, 0.0, 1e-12)]]
+    cases += [A for A in random_patterns(np.random.default_rng(6))
+              if not np.count_nonzero(A - np.diag(np.diagonal(A)))]
+    expected = [reference_splits(A)[:4] for A in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connected_components on a diagonal A")
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", refuse)
+    assert len(cases) > 10
+    for A, (keep, axis, P, S) in zip(cases, expected):
+        assert all(map(np.array_equal, exact_axis_split(A), (keep, axis)))
+        assert all(map(np.array_equal, _mirror_split(A, keep, _graph(A)), (P, S)))
+
+
+@pytest.mark.parametrize("spec, N, touch", [
+    (benilov_coefficients(0.0, 1.0, 0.02), 351, False),
+    (benilov_coefficients(0.0, 1.0, 0.05), 136, False),
+    (benilov_coefficients(0.5, 1.0, 0.07), 192, False),
+    (constant_spec(10.0, 0.0, 1e-12), 24, True),
+])
+def test_pencil_scale_from_parts_equals_whole_block(spec, N, touch):
+    # the kept block is block diagonal over P, its mirror and S: its
+    # _matrix_scale follows from the parts' blocks alone
+    t = _solve_truncation(spec, N)
+    blocks = [t.A[np.ix_(m, m)] for m, _ in t.parts]
+    whole = _matrix_scale(t.A[np.ix_(t.keep, t.keep)])
+    assert _parts_scale(blocks, [w for _, w in t.parts]) == pytest.approx(whole, rel=1e-14)
+    if touch:
+        # S = {0} alone passes the pencil test at its own scale; at the kept
+        # block's it is singular, and the certificate says so
+        (S, w), scale = t.parts[-1], _parts_scale(blocks, [w for _, w in t.parts])
+        assert (S.tolist(), w) == ([N], 1)
+        solve_lyapunov_core(t.A[np.ix_(S, S)])
+        with pytest.raises(NearSingularPencil):
+            solve_lyapunov_core(t.A[np.ix_(S, S)], scale)
+        assert certified_index(spec).status == "SpectraTouchAxis"
 
 
 def test_mirror_split_needs_equal_values_and_pattern():

@@ -391,7 +391,7 @@ def test_sweep_workers_keep_their_mxcsr(tmp_path, monkeypatch):
         sik.lyapunov._Dense.fenv[0](env)
         return env.mxcsr
 
-    calls, inside, certify, schur = [], [], sik.cli.certified_index, scipy.linalg.schur
+    calls, inside, certify, schur = [], [], sik.cli.certified_index, sik.lyapunov._schur
 
     def spy_certify(*args, **kwargs):
         before = mxcsr()
@@ -404,7 +404,7 @@ def test_sweep_workers_keep_their_mxcsr(tmp_path, monkeypatch):
         return schur(*args, **kwargs)
 
     monkeypatch.setattr(sik.cli, "certified_index", spy_certify)
-    monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+    monkeypatch.setattr(sik.lyapunov, "_schur", spy_schur)
     cfg = write_config(
         tmp_path,
         {"grid": {"alpha1": [0.0, 0.5], "alpha2": [1.0], "alpha3": [0.5, 0.2]}},

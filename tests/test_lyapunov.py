@@ -4,6 +4,7 @@ Independent oracles: the Kronecker-product linear system for small solves,
 and the whole-matrix LAPACK trsyl route for the recursive blocked solve.
 The free kernel is checked by solving the free equation exactly."""
 
+import ctypes
 import math
 import sys
 import threading
@@ -163,19 +164,15 @@ def film_block(N):
 
 def patch_trsyl(monkeypatch, results):
     """Route the solver's trsyl through results(call_index, X, scale, info)."""
-    lookup = scipy.linalg.get_lapack_funcs
-    calls = []
+    trsyl, calls = sik.lyapunov._trsyl, []
 
-    def patched_lookup(names, arrays):
-        (trsyl,) = lookup(names, arrays)
+    def fake(A, B, X):
+        calls.append(None)
+        scale, info = trsyl(A, B, X)
+        X[...], scale, info = results(len(calls), X, scale, info)
+        return scale, info
 
-        def fake(*args, **kwargs):
-            calls.append(None)
-            return results(len(calls), *trsyl(*args, **kwargs))
-
-        return (fake,)
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched_lookup)
+    monkeypatch.setattr(sik.lyapunov, "_trsyl", fake)
     return calls
 
 
@@ -352,13 +349,13 @@ def test_dense_flushes_subnormals_and_restores():
 def test_dense_restores_mxcsr_after_near_singular_pencil(monkeypatch):
     # the pencil test raises inside the flushed region; the exit puts the
     # saved MXCSR back all the same
-    seen, schur = [], scipy.linalg.schur
+    seen, schur = [], sik.lyapunov._schur
 
     def spy(*args, **kwargs):
         seen.append(mxcsr())
         return schur(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    monkeypatch.setattr(sik.lyapunov, "_schur", spy)
     before = mxcsr()
     with pytest.raises(NearSingularPencil):
         solve_lyapunov_core(np.diag([1.0 + 2.0j, -1.0 + 2.0j]))
@@ -387,3 +384,92 @@ def test_dense_flush_is_per_thread():
         release.set()
         worker.join(10)
     assert not worker.is_alive() and inside == [0.0]
+
+
+def schur_checks(A, T, Z):
+    """Backward error ||Z T Z^H - A|| / ||A||, ||Z^H Z - I|| and T's sorted diagonal."""
+    scale = max(np.linalg.norm(A), 1e-300)
+    backward = np.linalg.norm(Z @ T @ Z.conj().T - A) / scale
+    orth = np.linalg.norm(Z.conj().T @ Z - np.eye(A.shape[0]))
+    return backward, orth, np.sort_complex(np.diag(T))
+
+
+@pytest.mark.parametrize("case", ["tridiagonal", "diagonal", "one"])
+def test_hessenberg_schur_matches_scipy_schur(case, monkeypatch):
+    # film's half block (tridiagonal), a constant-coefficient truncation
+    # (diagonal) and a 1 x 1 part take zhseqr; scipy.linalg.schur, run on
+    # the same input, is the reference for T's diagonal, the backward error
+    # and the orthogonality of Z
+    A = {
+        "tridiagonal": film_block(120)[:119, :119],
+        "diagonal": assemble_A(OperatorSpec(a=TrigPoly.constant(3.0), b=TrigPoly.constant(1.0),
+                                            c=TrigPoly.constant(2.0)), 40).entries,
+        "one": np.array([[-2.0 + 3.0j]]),
+    }[case]
+    assert not np.tril(A, -2).any()
+    T_ref, Z_ref = scipy.linalg.schur(A, output="complex")
+    seen, schur = [], scipy.linalg.schur
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    with sik.lyapunov._Dense(A.shape[0]):
+        T, Z, w = sik.lyapunov._schur(A)
+    assert not seen and T.flags.f_contiguous and Z.flags.f_contiguous
+    assert not np.tril(T, -1).any()
+    assert w == {"tridiagonal": 1, "diagonal": 0, "one": 0}[case]
+    backward, orth, diag = schur_checks(A, T, Z)
+    backward_ref, orth_ref, diag_ref = schur_checks(A, T_ref, Z_ref)
+    assert np.allclose(diag, diag_ref, rtol=1e-13, atol=0.0)
+    assert backward <= max(4.0 * backward_ref, 1e-15) and orth <= max(4.0 * orth_ref, 1e-13)
+
+
+def test_non_hessenberg_part_keeps_scipy_schur(monkeypatch):
+    # max_mode 2 puts a second subdiagonal in every part: the reduction is needed
+    spec = OperatorSpec(a=TrigPoly.zero(), b=TrigPoly.zero(),
+                        c=TrigPoly.from_nonneg_modes([(0, 2.0), (2, 0.3)]))
+    A = assemble_A(spec, 20).entries
+    assert np.tril(A, -2).any()
+    seen, schur = [], scipy.linalg.schur
+
+    def spy(*args, **kwargs):
+        seen.append(args[0].shape)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    T, Z, w = sik.lyapunov._schur(A)
+    assert seen == [A.shape] and w == 2
+    backward, orth, _ = schur_checks(A, T, Z)
+    assert backward < 1e-14 and orth < 1e-13
+
+
+@pytest.mark.parametrize("max_mode", [0, 1, 2, 3])
+def test_banded_residual_matches_gemm(max_mode):
+    # U A from A's 2w + 1 diagonals against the dense product, on a
+    # Hermitian U and the truncation of a spec of bandwidth max_mode
+    modes = [(0, 2.0)] + [(m, 0.4 / m + 0.1j) for m in range(1, max_mode + 1)]
+    spec = OperatorSpec(a=TrigPoly.constant(1.0), b=TrigPoly.constant(0.5),
+                        c=TrigPoly.from_nonneg_modes(modes))
+    A = assemble_A(spec, 150).entries
+    G = np.random.default_rng(max_mode).standard_normal((2, 301, 301))
+    U = G[0] + 1j * G[1]
+    U = U + U.conj().T
+    w = sik.lyapunov._schur(A)[2]
+    assert w == max_mode
+    R = sik.lyapunov._times_band(U, A, w)
+    ref = U @ A
+    assert np.linalg.norm(R - ref) <= 1e-14 * np.linalg.norm(U) * np.linalg.norm(A)
+
+
+def test_lapack_bindings_drop_the_gil():
+    # CFUNCTYPE releases the GIL around the foreign call; PYFUNCTYPE would hold it
+    for binding in (sik.lyapunov._ZHSEQR, sik.lyapunov._ZTRSYL):
+        assert isinstance(binding, ctypes._CFuncPtr)
+        assert not type(binding)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    # the in-place call passes raw pointers: a row-major operand is refused
+    C, F = np.eye(3, dtype=complex), np.eye(3, dtype=complex, order="F")
+    for args in ((C, F, F), (F, F, C), (F, F, F.real.copy(order="F"))):
+        with pytest.raises(ValueError):
+            sik.lyapunov._trsyl(*args)

@@ -11,19 +11,19 @@ right-half-plane count of the truncation provably equals the index of the
 full operator, and the certificate records both the Schur count and the
 Lyapunov-inertia count (they must agree for status Certified).
 
-Structural reduction: when the sparsity pattern of A_N has strongly
-connected components that are singletons with exactly zero real diagonal
+Structural reduction, found in one pass over A_N's nonzeros (_split):
+singleton strongly connected components with exactly zero real diagonal
 (e.g. the mean mode of a pure-flux operator, whose matrix row vanishes
-identically), those modes carry exact, axis-bound eigenvalues.  They are
-counted exactly (contributing nothing to kappa) and excluded from the
-Lyapunov solve, which would otherwise be singular by construction.  The
-block-triangular structure makes the spectrum split exactly, so this loses
-nothing.  The kept block's weakly connected components decouple exactly
-too, and real coefficients make A[-p,-q] = conj(A[p,q]): once that
-identity holds on every nonzero (checked with ==), of two mirror image
-components one is solved, the other is its exact index-reversed
-conjugate.  So Lyapunov's equation is solved at most twice per
-truncation, on P (one side of each pair) and S (the rest).
+identically) carry exact, axis-bound eigenvalues.  They are counted exactly
+(contributing nothing to kappa) and excluded from the Lyapunov solve,
+which would otherwise be singular by construction; the block-triangular
+structure makes the spectrum split exactly, so this loses nothing.  The
+kept block's weakly connected components decouple exactly too, and real
+coefficients make A[-p,-q] = conj(A[p,q]): once that identity holds on
+every nonzero (checked with ==), of two mirror image components one is
+solved, the other is its exact index-reversed conjugate.  So Lyapunov's
+equation is solved at most twice per truncation, on P (one side of each
+pair) and S (the rest).
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class CertifyOptions:
 
     def __post_init__(self):
         for name in ("max_N", "max_iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
 
 
 @dataclass
@@ -100,56 +101,45 @@ class Certificate:
         return asdict(self)
 
 
-def _graph(A: np.ndarray):
-    """A's nonzero pattern as a CSR adjacency, its arrays built directly."""
-    rows, cols = np.divmod(np.flatnonzero(A != 0.0), A.shape[1])  # rows ascending
-    indptr = np.searchsorted(rows, np.arange(A.shape[0] + 1))
-    return scipy.sparse.csr_matrix((np.ones(rows.size), cols, indptr), A.shape)
+def _split(A: np.ndarray):
+    """(keep, axis, P, S) of A, from one scan of its nonzeros.
 
-
-def exact_axis_split(A: np.ndarray, graph=None):
-    """(keep, axis) index arrays from the sparsity pattern of A.
-
-    axis collects singleton strongly connected components whose diagonal
-    entry has real part exactly 0.0: their eigenvalues are the diagonal
-    entries themselves (block-triangular structure), known without any
-    floating-point ambiguity.  keep is the complement, in order.  graph is
-    _graph(A) when the caller already holds it.
+    axis: the singleton strongly connected components whose diagonal entry
+    has real part exactly 0.0, their eigenvalues known exactly (block-
+    triangular structure); keep: the rest, in order.  When every nonzero of
+    A equals its mirror's conjugate, A[n-1-i, n-1-j] = conj(A[i, j]), p ->
+    -p maps A's graph onto itself, strong components and Re diag with it:
+    keep is mirror-symmetric, each weak component of the kept block has one
+    mirror, and conj(A[P, P]) = A[P', P'].  P takes the smaller label of
+    each pair (the side of the largest entries first: smaller residuals), S
+    the self-mirror ones.  Otherwise, or up to _SPLIT_MIN kept modes, S is
+    all of keep: a non-real A whose P block alone mirrors is solved whole,
+    slower but as exact (OperatorSpec refuses non-real coefficients).
     """
-    graph = _graph(A) if graph is None else graph
-    if graph.nnz == np.count_nonzero(np.diagonal(A)):  # diagonal: as csgraph would label
-        labels = np.arange(A.shape[0])
-    else:
-        labels = scipy.sparse.csgraph.connected_components(graph, connection="strong")[1]
-    on_axis = (np.bincount(labels)[labels] == 1) & (np.diagonal(A).real == 0.0)
-    return np.flatnonzero(~on_axis), np.flatnonzero(on_axis)
-
-
-def _mirror_split(A: np.ndarray, keep: np.ndarray, graph):
-    """(P, S): one side of each mirror pair of kept components, and the rest.
-
-    When every nonzero of A equals its mirror's conjugate, A[n-1-i, n-1-j]
-    = conj(A[i, j]), p -> -p maps A's graph onto itself, strong components
-    and Re diag with it: keep is mirror-symmetric, each weak component of
-    the kept block has one mirror, and conj(A[P, P]) = A[P', P'].  P takes
-    the smaller label of each pair (the side of the largest entries first:
-    smaller residuals), S the self-mirror ones.  Otherwise, or up to
-    _SPLIT_MIN kept modes, S is all of keep: a non-real A whose P block
-    alone mirrors is solved whole, slower but as exact (OperatorSpec
-    refuses non-real coefficients).  Vectorised: 2N+1 components may occur.
-    """
-    if keep.size <= _SPLIT_MIN:
-        return keep[:0], keep
     n = A.shape[0]
-    rows, cols = np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices
-    if not np.array_equal(A[rows, cols].conj(), A[n - 1 - rows, n - 1 - cols]):
-        return keep[:0], keep
-    if graph.nnz == np.count_nonzero(np.diagonal(A)):  # diagonal: as csgraph would label
-        lab = np.arange(keep.size)
-    else:
-        lab = scipy.sparse.csgraph.connected_components(graph[keep][:, keep], connection="weak")[1]
-    mlab = lab[::-1]  # each mode's mirror's component
-    return keep[mlab > lab], keep[mlab == lab]
+    rows, cols = np.divmod(np.flatnonzero(A != 0.0), n)  # rows ascending
+    diagonal = np.array_equal(rows, cols)  # each mode its own component, as csgraph labels
+
+    def labels(edges, connection):  # the components of A's graph on these of its edges
+        indptr = np.searchsorted(rows[edges], np.arange(n + 1))
+        graph = scipy.sparse.csr_matrix((np.ones(indptr[-1]), cols[edges], indptr), (n, n))
+        return scipy.sparse.csgraph.connected_components(graph, connection=connection)[1]
+
+    strong = np.arange(n) if diagonal else labels(slice(None), "strong")
+    on_axis = (np.bincount(strong)[strong] == 1) & (np.diagonal(A).real == 0.0)
+    keep, axis = np.flatnonzero(~on_axis), np.flatnonzero(on_axis)
+    if keep.size <= _SPLIT_MIN or not np.array_equal(
+            A[rows, cols].conj(), A[n - 1 - rows, n - 1 - cols]):
+        return keep, axis, keep[:0], keep
+    # the axis modes' edges cut: components numbered by lowest node, as in the kept block
+    weak = keep if diagonal else labels(~(on_axis[rows] | on_axis[cols]), "weak")[keep]
+    mirror = weak[::-1]  # each mode's mirror's component
+    return keep, axis, keep[mirror > weak], keep[mirror == weak]
+
+
+def exact_axis_split(A: np.ndarray):
+    """(keep, axis) index arrays from the sparsity pattern of A: _split's first two."""
+    return _split(A)[:2]
 
 
 def _now():
@@ -196,9 +186,8 @@ def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
     Every part is attempted, so eigenvalues always hold the whole kept
     block's; a NearSingularPencil from any part leaves Us and residual None."""
     A = assemble_A(spec, N).entries
-    graph = _graph(A)
-    keep, axis = exact_axis_split(A, graph)
-    parts = [(m, w) for m, w in zip(_mirror_split(A, keep, graph), (2, 1)) if m.size]
+    keep, axis, P, S = _split(A)
+    parts = [(m, w) for m, w in ((P, 2), (S, 1)) if m.size]
     blocks, solves = [A[np.ix_(m, m)] for m, _ in parts], []
     scale = _parts_scale(blocks, [w for _, w in parts])
     for block in blocks:

@@ -54,7 +54,7 @@ def inertia_hermitian(H, zero_tol=None) -> Inertia:
     """Inertia of a Hermitian matrix by eigvalsh: the reference route.
 
     Default zero_tol is 1e-8 times the spectral norm, a knife edge for an
-    unscaled Lyapunov U (film's n=954 kept block at N=478: 794 "zero").
+    unscaled Lyapunov U (film's n=700 kept block at N=351: 540 "zero").
     Raises NonHermitianInput when ||H - H^H|| exceeds 1e-10 relative.
     """
     H = np.asarray(H)
@@ -68,10 +68,7 @@ def inertia_hermitian(H, zero_tol=None) -> Inertia:
     if zero_tol is None:
         top = float(np.max(np.abs(eigs))) if eigs.size else 0.0
         zero_tol = 1e-8 * top
-    n_plus = int(np.sum(eigs > zero_tol))
-    n_minus = int(np.sum(eigs < -zero_tol))
-    n_zero = eigs.size - n_plus - n_minus
-    gap = float(np.min(np.abs(eigs))) if eigs.size else None
+    n_plus, n_minus, n_zero, gap = count_half_plane(eigs, zero_tol)
     return Inertia(n_plus, n_minus, n_zero, float(zero_tol), gap=gap)
 
 

@@ -77,21 +77,16 @@ class LyapunovSolution:
 
 def _matrix_scale(A: np.ndarray) -> float:
     # cheap upper bound for ||A||_2; only used to scale tolerances
-    fro = np.linalg.norm(A)
-    if fro == 0.0:
-        return 1.0
-    absA = np.abs(A)
-    one = absA.sum(axis=0).max()
-    inf = absA.sum(axis=1).max()
-    return float(min(fro, math.sqrt(one * inf)))
+    return _parts_scale([A], [1])
 
 
 def _parts_scale(blocks, weights) -> float:
-    """_matrix_scale of the block-diagonal matrix of blocks[i], each weights[i] times."""
+    """_matrix_scale of the block-diagonal matrix of blocks[i], each weights[i]
+    times: min(Frobenius norm, Schur's test sqrt(||.||_1 ||.||_inf)), 1.0 for zero."""
     fro = math.sqrt(sum(w * float(np.linalg.norm(b)) ** 2 for b, w in zip(blocks, weights)))
     absb = [np.abs(b) for b in blocks]
-    one = max((a.sum(axis=0).max() for a in absb), default=0.0)
-    inf = max((a.sum(axis=1).max() for a in absb), default=0.0)
+    one = max((a.sum(axis=0).max(initial=0.0) for a in absb), default=0.0)
+    inf = max((a.sum(axis=1).max(initial=0.0) for a in absb), default=0.0)
     return float(min(fro, math.sqrt(one * inf))) if fro else 1.0
 
 

@@ -35,13 +35,7 @@ from sik import (
     dispersion_index,
     tp_derivative,
 )
-from sik.certify import (
-    _graph,
-    _mirror_split,
-    _next_order,
-    _solve_truncation,
-    exact_axis_split,
-)
+from sik.certify import _next_order, _solve_truncation, _split, exact_axis_split
 from sik.errors import NearSingularPencil
 from sik.index import _ldl_n_plus
 from sik.lyapunov import _matrix_scale, _parts_scale, _sign_band, solve_lyapunov_core
@@ -158,6 +152,11 @@ def test_condition_not_met_when_delta_too_large():
     assert cert.tripleU_upper is None and cert.axis_gap is None
     # below 1 there is no truncation to certify: rejected, naming the field
     for field, value in (("max_N", 0), ("max_N", -3), ("max_iterations", 0)):
+        with pytest.raises(ValueError, match=field):
+            CertifyOptions(**{field: value})
+    # nor does a bool or a non-integer: max_N=True once certified with
+    # "N_final": true, and the others raised TypeError deep in the loop
+    for field, value in (("max_N", True), ("max_iterations", 2.5), ("max_N", 40.5)):
         with pytest.raises(ValueError, match=field):
             CertifyOptions(**{field: value})
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -528,6 +527,7 @@ def test_one_truncated_solve_pipeline():
     sites = {
         "solve_lyapunov_core": [],
         "exact_axis_split": [],
+        "_split": [],
         "_schur": [],
         "eigvalsh": [],
         "eigvals": [],
@@ -556,7 +556,8 @@ def test_one_truncated_solve_pipeline():
                     sites[name].append(fn.name)
     assert sites == {
         "solve_lyapunov_core": ["_solve_truncation"],
-        "exact_axis_split": ["_solve_truncation"],
+        "exact_axis_split": [],
+        "_split": ["exact_axis_split", "_solve_truncation"],
         "_schur": ["cross_validate"],
         "eigvalsh": ["cross_validate"],
         "eigvals": [],
@@ -637,8 +638,7 @@ def test_mirror_split_pairs_benilov_kept_block(alpha, N):
     # are peeled, nothing joins p <= -k to p >= k (k = 2 for alpha1 = 0,
     # else 1), so the kept block is those two halves, exact mirror images
     A = assemble_A(benilov_coefficients(*alpha), N).entries
-    keep, _ = exact_axis_split(A)
-    P, S = _mirror_split(A, keep, _graph(A))
+    keep, _, P, S = _split(A)
     k = 2 if alpha[0] == 0.0 else 1
     assert (P - N).tolist() == list(range(-N, 1 - k)) and S.size == 0
     Q = 2 * N - P
@@ -656,11 +656,13 @@ def test_mirror_split_keeps_components_whole():
     A = np.diag(-(1.0 + p**2) + 1j * p)
     A[0, N] = A[N, 0] = 1.0
     keep = np.arange(2 * N + 1)
-    P, S = _mirror_split(A, keep, _graph(A))
+    kept, _, P, S = _split(A)
+    assert np.array_equal(kept, keep)
     assert P.size == 0 and np.array_equal(S, keep)
     # the mirror coupling of p = N to p = 0 makes {-N, 0, N} self-mirror
     A[2 * N, N] = A[N, 2 * N] = 1.0
-    P, S = _mirror_split(A, keep, _graph(A))
+    kept, _, P, S = _split(A)
+    assert np.array_equal(kept, keep)
     assert (P - N).tolist() == list(range(1 - N, 0)) and (S - N).tolist() == [-N, 0, N]
 
 
@@ -725,18 +727,12 @@ def benchmark_truncations():
 
 
 def test_shared_graph_splits_equal_dense_pattern_splits():
+    # the one-pass split against the dense pattern's, array for array
     rng = np.random.default_rng(5)
     for A in [*benchmark_truncations(), *random_patterns(rng)]:
-        keep, axis, P, S, strong, weak = reference_splits(A)
-        graph = _graph(A)
-        assert (graph != scipy.sparse.csr_matrix((A != 0.0).astype(np.int8))).nnz == 0
-        kept = graph[keep][:, keep]
-        for connection, labels, G in (("strong", strong, graph), ("weak", weak, kept)):
-            got = scipy.sparse.csgraph.connected_components(G, connection=connection)[1]
-            assert np.array_equal(got, labels)
-        for got in (exact_axis_split(A), exact_axis_split(A, graph)):
-            assert all(map(np.array_equal, got, (keep, axis)))
-        assert all(map(np.array_equal, _mirror_split(A, keep, graph), (P, S)))
+        keep, axis, P, S = reference_splits(A)[:4]
+        assert all(map(np.array_equal, _split(A), (keep, axis, P, S)))
+        assert all(map(np.array_equal, exact_axis_split(A), (keep, axis)))
 
 
 def test_diagonal_splits_build_no_components(monkeypatch):
@@ -755,8 +751,26 @@ def test_diagonal_splits_build_no_components(monkeypatch):
     monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", refuse)
     assert len(cases) > 10
     for A, (keep, axis, P, S) in zip(cases, expected):
+        assert all(map(np.array_equal, _split(A), (keep, axis, P, S)))
         assert all(map(np.array_equal, exact_axis_split(A), (keep, axis)))
-        assert all(map(np.array_equal, _mirror_split(A, keep, _graph(A)), (P, S)))
+
+
+def test_split_labels_once_per_connection(monkeypatch):
+    # one truncation runs at most one strong and one weak labelling: film
+    # at N=60 both, at N=20 (38 kept modes <= _SPLIT_MIN) the strong alone
+    calls = []
+    components = scipy.sparse.csgraph.connected_components
+
+    def spy(graph, connection):
+        calls.append(connection)
+        return components(graph, connection=connection)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", spy)
+    film = benilov_coefficients(0.0, 1.0, 0.02)
+    for N, expected in ((60, ["strong", "weak"]), (20, ["strong"])):
+        calls.clear()
+        _solve_truncation(film, N)
+        assert calls == expected
 
 
 @pytest.mark.parametrize("spec, N, touch", [
@@ -769,6 +783,10 @@ def test_pencil_scale_from_parts_equals_whole_block(spec, N, touch):
     # the kept block is block diagonal over P, its mirror and S: its
     # _matrix_scale follows from the parts' blocks alone
     t = _solve_truncation(spec, N)
+    keep, _, P, S = _split(t.A)
+    assert np.array_equal(t.keep, keep)
+    parts = [(m.tolist(), w) for m, w in ((P, 2), (S, 1)) if m.size]
+    assert [(m.tolist(), w) for m, w in t.parts] == parts
     blocks = [t.A[np.ix_(m, m)] for m, _ in t.parts]
     whole = _matrix_scale(t.A[np.ix_(t.keep, t.keep)])
     assert _parts_scale(blocks, [w for _, w in t.parts]) == pytest.approx(whole, rel=1e-14)
@@ -789,8 +807,7 @@ def test_mirror_split_needs_equal_values_and_pattern():
     # value of the other half matched, must each keep the block whole
     N = 60
     A = assemble_A(benilov_coefficients(0.0, 1.0, 0.02), N).entries
-    keep, _ = exact_axis_split(A)
-    P, S = _mirror_split(A, keep, _graph(A))
+    keep, _, P, S = _split(A)
     assert P.size and not S.size
     i, j = P[0], P[1]  # p = -N and -N+1: coupled, so A[i, j] != 0
     Q = 2 * N - P  # P's mirror modes
@@ -802,8 +819,9 @@ def test_mirror_split_needs_equal_values_and_pattern():
     for B in (changed, extra):
         ref = reference_splits(B)
         assert np.array_equal(ref[0], keep) and np.array_equal(ref[3], keep)
-        got = _mirror_split(B, keep, _graph(B))
-        assert got[0].size == 0 and np.array_equal(got[1], keep)
+        kept, _, P_got, S_got = _split(B)
+        assert np.array_equal(kept, keep)
+        assert P_got.size == 0 and np.array_equal(S_got, keep)
     # so must a value off its mirror outside both halves: A[p=2, q=1]
     # couples kept mode 2 to axis mode 1, where P's block alone mirrors
     coupling = A.copy()
@@ -811,8 +829,9 @@ def test_mirror_split_needs_equal_values_and_pattern():
     coupling[N + 2, N + 1] *= 1.0 + 1e-15
     ref = reference_splits(coupling)
     assert np.array_equal(ref[0], keep) and np.array_equal(ref[2], P) and P.size == 59
-    got = _mirror_split(coupling, keep, _graph(coupling))
-    assert got[0].size == 0 and np.array_equal(got[1], keep) and keep.size == 118
+    kept, _, P_got, S_got = _split(coupling)
+    assert np.array_equal(kept, keep)
+    assert P_got.size == 0 and np.array_equal(S_got, keep) and keep.size == 118
 
 
 def whole_U(t):

@@ -189,7 +189,7 @@ def test_public_surface():
         "DispersionOracle", "lambda_max_statistic", "MaxTruncationExceeded",
         "assemble_A_star", "_assemble", "_closed_form_constants",
         "kernel2d_sobolev_norm", "_mirror_equal", "_OneBlasThread", "_load_json",
-        "_leibnitz_series", "_LEIBNITZ_CACHE",
+        "_leibnitz_series", "_LEIBNITZ_CACHE", "_graph", "_mirror_split",
     }
     modules = [sik] + [
         importlib.import_module(f"sik.{info.name}")

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateRestriction, NonHermitianInput
-from .lyapunov import _matrix_scale, _sign_band
+from .lyapunov import _hetrf, _matrix_scale, _sign_band
 
 # the reference route's default: |Re l| <= _AXIS_REL_TOL * ||A|| counts as on
 # the axis; certify and validate take their bands from _sign_band instead
@@ -73,19 +73,20 @@ def inertia_hermitian(H, zero_tol=None) -> Inertia:
 
 
 def _ldl_n_plus(X: np.ndarray) -> int | None:
-    """n_plus of a Hermitian X from one Bunch-Kaufman LDL^H (?hetrf, in
-    place; by Sylvester's law D has X's inertia).  None when a pivot
-    eigenvalue is within _sign_band(X) = n eps ||X|| of zero: X is within
-    rounding of singular.  Under lyapunov._Dense's abrupt underflow each
-    flushed term is below tiny = 2.2e-308, a backward error of order n tiny:
-    inside that band whenever ||X|| > tiny / eps = 1e-292."""
+    """n_plus of a Hermitian X from one Bunch-Kaufman LDL^H (zhetrf, in
+    place for a complex X, without the GIL; by Sylvester's law D has X's
+    inertia).  None when a pivot eigenvalue is within _sign_band(X) =
+    n eps ||X|| of zero: X is within rounding of singular.  Under
+    lyapunov._Dense's abrupt underflow each flushed term is below tiny =
+    2.2e-308, a backward error of order n tiny: inside that band whenever
+    ||X|| > tiny / eps = 1e-292."""
     n = X.shape[0]
     band = _sign_band(X)
     if np.count_nonzero(X) == np.count_nonzero(X.diagonal()):
         ldu, ipiv = X, np.ones(n)  # a diagonal X is its own D: skip hetrf's n BLAS-2 calls
     else:
-        (hetrf,) = scipy.linalg.get_lapack_funcs(("hetrf",), (X,))
-        ldu, ipiv, _ = hetrf(X.T, lower=True, overwrite_a=True)  # X.T: conj(X), Fortran order
+        ldu = np.asfortranarray(X.T, dtype=complex)  # conj(X), in place when X is complex
+        ipiv = _hetrf(ldu)
     d, idx, two = ldu.diagonal().real, np.arange(n), ipiv < 0
     # 2x2 blocks (ipiv[k] = ipiv[k+1] < 0) pair each run of ipiv < 0 from its start
     k = idx[two & ((idx - np.maximum.accumulate(np.where(two, 0, idx + 1))) % 2 == 0)]

@@ -118,8 +118,9 @@ _PENCIL_TOL = 1e-15
 _RESIDUAL_TOL = 1e-8
 
 # LAPACK trsyl solves triangular blocks up to this size; larger ones split in
-# half, coupled by GEMM (Jonsson & Kagstrom, ACM TOMS 28(4), 2002), which is
-# skipped for a zero coupling block (diagonal T, e.g. constant coefficients)
+# half, coupled by GEMM (Jonsson & Kagstrom, ACM TOMS 28(4), 2002) over the
+# nonzero row and column range of T's coupling block only; the back-transform
+# Z Y Z^H runs in row tiles of Z of this size, each over its nonzero columns
 _TRSYL_BLOCK = 64
 
 
@@ -225,25 +226,31 @@ def _lapack(name, *argtypes):
     return ctypes.CFUNCTYPE(None, *argtypes)(get(capsule, get_name(capsule)))
 
 
-# Fortran arguments by reference: character, integer, complex array, double
+# Fortran arguments by reference: character, integer, array (its address), double
 _C, _I, _Z, _D = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p,
                   ctypes.POINTER(ctypes.c_double))
 _ZHSEQR = _lapack("zhseqr", _C, _C, _I, _I, _I, _Z, _I, _Z, _Z, _I, _Z, _I, _I)
 _ZTRSYL = _lapack("ztrsyl", _C, _C, _I, _I, _I, _Z, _I, _Z, _I, _Z, _I, _D, _I)
+_ZHETRF = _lapack("zhetrf", _C, _I, _Z, _I, _Z, _Z, _I, _I)
 
 
 def _schur(A: np.ndarray):
     """(T, Z, w): A = Z T Z^H in complex Schur form, T and Z in Fortran order,
-    and w = max |i - j| over A's nonzeros.  An upper Hessenberg A (each
-    tridiagonal or diagonal part) goes straight to LAPACK zhseqr, skipping
-    the reduction scipy.linalg.schur runs first (61% of film's Schur)."""
+    and w = max |i - j| over A's nonzeros.  A diagonal A (w = 0, e.g.
+    constant coefficients) is its own Schur form: T = A, Z = I.  Another
+    upper Hessenberg A (each tridiagonal part) goes straight to LAPACK
+    zhseqr, skipping the reduction scipy.linalg.schur runs first (61% of
+    film's Schur)."""
     diff = np.subtract(*np.nonzero(A))
     w = int(np.abs(diff).max(initial=0))
     if diff.max(initial=0) > 1:
         T, Z = scipy.linalg.schur(A, output="complex")
         return np.asfortranarray(T), np.asfortranarray(Z), w
     n = A.shape[0]
-    T, Z = np.array(A, dtype=complex, order="F"), np.empty((n, n), dtype=complex, order="F")
+    T = np.array(A, dtype=complex, order="F")
+    if w == 0:
+        return T, np.eye(n, dtype=complex, order="F"), w
+    Z = np.empty((n, n), dtype=complex, order="F")
     ev, work, info = np.empty(n, dtype=complex), np.empty(1, dtype=complex), ctypes.c_int()
     args = (b"S", b"I", ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int(n), T.ctypes.data,
             ctypes.c_int(max(1, n)), ev.ctypes.data, Z.ctypes.data, ctypes.c_int(max(1, n)))
@@ -268,23 +275,54 @@ def _trsyl(A: np.ndarray, B: np.ndarray, X: np.ndarray):
     return scale.value, info.value
 
 
+def _hetrf(X: np.ndarray) -> np.ndarray:
+    """LAPACK zhetrf in place, lower, on a column-major complex X, with the
+    workspace max(n, 1) of scipy's wrapper (so its unblocked path, bit for
+    bit); returns ipiv, 1-based as LAPACK's."""
+    if X.dtype != complex or not X.flags.f_contiguous or X.ndim != 2 or X.shape[0] != X.shape[1]:
+        raise ValueError("hetrf needs a square column-major complex matrix")
+    n = X.shape[0]
+    ipiv, work, info = np.empty(n, dtype=np.intc), np.empty(max(1, n), dtype=complex), ctypes.c_int()
+    _ZHETRF(b"L", ctypes.c_int(n), X.ctypes.data, ctypes.c_int(max(1, n)), ipiv.ctypes.data,
+            work.ctypes.data, ctypes.c_int(work.size), info)
+    if info.value < 0:
+        raise RuntimeError(f"zhetrf failed with info={info.value}")
+    return ipiv  # info > 0: an exactly zero pivot, which the caller's band rejects
+
+
+def _box(M: np.ndarray):
+    """(rows, cols): the smallest slices of M holding all its nonzeros, empty
+    when it has none.  An exact test, so unflushed subnormals count too."""
+    rows, cols = np.flatnonzero(M.any(axis=1)), np.flatnonzero(M.any(axis=0))
+    if not rows.size:
+        return slice(0, 0), slice(0, 0)
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
 def _solve_sylvester(trsyl, A, B, X):
     """Overwrite X = C by the solution of A^H X + X B = C (A, B upper
-    triangular), split along X's larger dimension down to trsyl blocks."""
+    triangular), split along X's larger dimension down to trsyl blocks, each
+    coupling over the nonzero box of A's or B's off-diagonal block only.  An
+    all-zero C has solution 0 and is left as it is.  That skips no failure:
+    trsyl perturbs only pairs with |l_i + conj(l_j)| <= eps max|T|, and
+    solve_lyapunov_core's pencil test has passed with pair_min >
+    _PENCIL_TOL scale > eps max|T| (scale bounds ||T||_2 >= max|T|)."""
+    if not X.any():
+        return
     m, k = X.shape
     if max(m, k) <= _TRSYL_BLOCK:
         trsyl(A, B, X)
     elif m >= k:
         h = m // 2
         _solve_sylvester(trsyl, A[:h, :h], B, X[:h])
-        if A[:h, h:].any():
-            X[h:] -= A[:h, h:].conj().T @ X[:h]
+        r, c = _box(A[:h, h:])
+        X[h:][c] -= A[:h, h:][r, c].conj().T @ X[:h][r]
         _solve_sylvester(trsyl, A[h:, h:], B, X[h:])
     else:
         h = k // 2
         _solve_sylvester(trsyl, A, B[:h, :h], X[:, :h])
-        if B[:h, h:].any():
-            X[:, h:] -= X[:, :h] @ B[:h, h:]
+        r, c = _box(B[:h, h:])
+        X[:, h:][:, c] -= X[:, :h][:, r] @ B[:h, h:][r, c]
         _solve_sylvester(trsyl, A, B[h:, h:], X[:, h:])
 
 
@@ -297,14 +335,29 @@ def _solve_lyapunov(trsyl, T, Y):
     T11, T12, T22 = T[:h, :h], T[:h, h:], T[h:, h:]
     Y11, Y12, Y22 = Y[:h, :h], Y[:h, h:], Y[h:, h:]
     _solve_lyapunov(trsyl, T11, Y11)
-    if T12.any():
-        Y12 -= Y11 @ T12
+    r, c = _box(T12)
+    Y12[:, c] -= Y11[:, r] @ T12[r, c]
     _solve_sylvester(trsyl, T11, T22, Y12)
-    if T12.any():
-        P = T12.conj().T @ Y12
-        Y22 -= P + P.conj().T
+    P = T12[r, c].conj().T @ Y12[r]  # rows c of T12^H Y12, the rest zero
+    Y22[c] -= P
+    Y22[:, c] -= P.conj().T
     _solve_lyapunov(trsyl, T22, Y22)
     Y[h:, :h] = Y12.conj().T
+
+
+def _back_transform(Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Z Y Z^H, each _TRSYL_BLOCK-row tile of Z multiplied only over its
+    nonzero columns (localised Schur vectors: film's Z is 37% nonzero)."""
+    n = Z.shape[0]
+    tiles = [(slice(i, i + _TRSYL_BLOCK), _box(Z[i:i + _TRSYL_BLOCK])[1])
+             for i in range(0, n, _TRSYL_BLOCK)]
+    W = np.empty((n, n), dtype=complex)
+    for r, c in tiles:
+        W[r] = Z[r, c] @ Y[c]
+    U = np.empty((n, n), dtype=complex)
+    for r, c in tiles:
+        U[:, r] = W[:, c] @ Z[r, c].conj().T
+    return U
 
 
 def _times_band(U: np.ndarray, A: np.ndarray, w: int) -> np.ndarray:
@@ -320,9 +373,13 @@ def solve_lyapunov_core(A: np.ndarray, scale=None):
     """Solve A^H U + U A = I for a raw square matrix.
 
     One complex Schur decomposition plus the blocked triangular solve
-    above, in place.  Returns (U, eigenvalues, residual, pair_min) where
-    residual = ||A^H U + U A - I||_F / sqrt(n) and pair_min is the minimal
-    |lambda_i + conj(lambda_j)| over eigenvalue pairs.
+    above, in place, each skipping exact zeros: a diagonal A is its own
+    Schur form and U = diag(1 / (2 Re lambda)) in closed form; otherwise
+    all-zero right-hand sides are not solved, couplings run over T's
+    nonzero ranges, and Z Y Z^H over Z's.  Returns (U, eigenvalues,
+    residual, pair_min) where residual = ||A^H U + U A - I||_F / sqrt(n)
+    and pair_min is the minimal |lambda_i + conj(lambda_j)| over
+    eigenvalue pairs.
 
     Raises NearSingularPencil when pair_min <= _PENCIL_TOL * ||A||, i.e.
     when the spectrum (nearly) touches the imaginary axis, and warns when
@@ -331,7 +388,9 @@ def solve_lyapunov_core(A: np.ndarray, scale=None):
     matrix's _matrix_scale and scales the pencil test: solving by blocks
     must not move the axis verdict.  The work runs under _Dense's abrupt
     underflow: each flushed term is below tiny = 2.2e-308, so an entry of R
-    moves by about n tiny at most, far below the residual gate.
+    moves by about n tiny at most, far below the residual gate.  Flushed
+    entries become exact zeros that the solve then skips; without the
+    flush it is as correct, only slower.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
@@ -350,28 +409,31 @@ def solve_lyapunov_core(A: np.ndarray, scale=None):
                 pair_min=pair_min,
                 tol=tol,
             )
-        Y = np.eye(n, dtype=complex, order="F")
-        y_scale = 1.0
+        if w == 0:  # its own Schur form; trsyl's 1 / (conj(l) + l) is this value too
+            U = np.diag(1.0 / (2.0 * ev.real)).astype(complex)
+        else:
+            Y = np.eye(n, dtype=complex, order="F")
+            y_scale = 1.0
 
-        def trsyl(T1, T2, X):
-            nonlocal Y, y_scale
-            block_scale, info = _trsyl(T1, T2, X)
-            if info < 0:
-                raise RuntimeError(f"trsyl failed with info={info}")
-            if info == 1:
-                # solved only after perturbing near-common eigenvalues: same failure
-                # mode the pencil test guards, reached through rounding
-                raise NearSingularPencil("triangular Sylvester solve required perturbation",
-                                         eigenvalues=ev, pair_min=pair_min, tol=tol)
-            if block_scale != 1.0:  # scale the rest of Y: X / block_scale may overflow
-                solved = X.copy()
-                Y *= block_scale
-                X[...] = solved
-                y_scale *= block_scale
+            def trsyl(T1, T2, X):
+                nonlocal Y, y_scale
+                block_scale, info = _trsyl(T1, T2, X)
+                if info < 0:
+                    raise RuntimeError(f"trsyl failed with info={info}")
+                if info == 1:
+                    # solved only after perturbing near-common eigenvalues: same failure
+                    # mode the pencil test guards, reached through rounding
+                    raise NearSingularPencil("triangular Sylvester solve required perturbation",
+                                             eigenvalues=ev, pair_min=pair_min, tol=tol)
+                if block_scale != 1.0:  # scale the rest of Y: X / block_scale may overflow
+                    solved = X.copy()
+                    Y *= block_scale
+                    X[...] = solved
+                    y_scale *= block_scale
 
-        _solve_lyapunov(trsyl, T, Y)
-        U = Z @ (Y / y_scale) @ Z.conj().T
-        U = 0.5 * (U + U.conj().T)
+            _solve_lyapunov(trsyl, T, Y)
+            U = _back_transform(Z, Y / y_scale)
+            U = 0.5 * (U + U.conj().T)
         # by diagonals/GEMM, 1 thread, x86-64: w=1 n=60 0.08/0.05 ms, n=350 2.0/8.7
         R = _times_band(U, A, w) if 32 * (2 * w + 1) < n else U @ A  # A^H U + U A = R + R^H
         R += R.conj().T

@@ -33,13 +33,14 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _weights(N: int) -> np.ndarray:
-    p = np.arange(-N, N + 1).astype(float)
+def _weights(p: np.ndarray) -> np.ndarray:
+    """2 + p^4 + q^4 over the modes p (rows) and q = p (columns)."""
+    p = p.astype(float)
     return 2.0 + p[:, None] ** 4 + p[None, :] ** 4
 
 
 def _weight_matrix(F: Kernel2D) -> np.ndarray:
-    return _weights(F.N) * np.abs(F.coeffs)
+    return _weights(np.arange(-F.N, F.N + 1)) * np.abs(F.coeffs)
 
 
 def _sigma_max(W: np.ndarray) -> float:
@@ -120,7 +121,7 @@ def estimate_triple_U_kept(Us: list, modes: list, N: int, M: float) -> TailRepor
         X[np.diag_indices_from(X)] -= green_kernel(N).diag_coeffs[m]
         W = np.zeros((hi - lo, hi - lo))
         W[np.ix_(m - lo, m - lo)] = np.abs(X)
-        W *= _weights(N)[lo:hi, lo:hi]
+        W *= _weights(np.arange(lo - N, hi - N))  # the window [lo:hi, lo:hi] only
         return _sigma_max(np.ascontiguousarray(W[:, ::-1]))
 
     return _tail_report(N, M, lambda: _TWO_PI * max(map(sigma_max, Us, modes), default=0.0))

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import sik.certify
+import sik.lyapunov
 from sik import (
     OperatorSpec,
     TrigPoly,
@@ -96,6 +97,38 @@ def test_ldl_count_in_scaled_frame_of_film_block():
     parts = list(zip(t.parts, t.Us))
     ldl = sum(w * _ldl_n_plus(d2[m, None] * U * d2[None, m]) for (m, w), U in parts)
     assert ldl == sum(w * inertia_hermitian(U).n_plus for (_, w), U in parts) == 4
+
+
+def test_bound_hetrf_matches_scipy_wrapper():
+    # the GIL-free binding takes the wrapper's workspace, so its path: ldu
+    # and ipiv equal scipy's bit for bit, on the random Hermitian matrices
+    # above (with and without 2x2 pivots) and on film's scaled blocks
+    cases = [random_hermitian(np.random.default_rng(41), n)[0] for n in (1, 2, 7, 12)]
+    rng = np.random.default_rng(46)
+    for n in (2, 9, 29):
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = B + B.conj().T
+        np.fill_diagonal(H, 0.0)
+        cases.append(H)
+    N = 60
+    t = _solve_truncation(benilov_coefficients(0.0, 1.0, 0.02), N)
+    d2 = d_weights(N) ** 2
+    cases += [d2[m, None] * U * d2[None, m] for (m, _), U in zip(t.parts, t.Us)]
+    for X in cases:
+        ldu_ref, ipiv_ref, info = scipy.linalg.lapack.zhetrf(X.T, lower=True)
+        assert info == 0
+        ldu = np.array(X.T, order="F")
+        ipiv = sik.lyapunov._hetrf(ldu)
+        assert np.array_equal(ipiv, ipiv_ref) and ipiv.dtype == ipiv_ref.dtype
+        assert ldu.tobytes() == ldu_ref.tobytes()
+    assert any(np.any(X.T != X) for X in cases[-2:])  # film's blocks are complex
+    for bad in (np.eye(3, dtype=complex), np.eye(3, order="F"), np.ones((3, 2), complex, order="F")):
+        with pytest.raises(ValueError):  # row-major, real or not square: refused
+            sik.lyapunov._hetrf(bad)
+    # a real X is cast to complex and counted as the complex one
+    H = random_hermitian(np.random.default_rng(47), 8)[0].real
+    H = H + H.T
+    assert _ldl_n_plus(H) == _ldl_n_plus(H.astype(complex)) == int(np.sum(np.linalg.eigvalsh(H) > 0))
 
 
 def test_ldl_count_refuses_pivot_inside_band(monkeypatch):

@@ -20,6 +20,7 @@ from sik import (
     TrigPoly,
     assemble_A,
     benilov_coefficients,
+    certified_index,
     kernel_operator_convert,
     solve_finite_lyapunov,
 )
@@ -229,19 +230,123 @@ def test_blocked_base_case_scale_propagates(monkeypatch):
     assert np.linalg.norm(U - U_ref) <= 1e-14 * np.linalg.norm(U_ref)
 
 
-def test_blocked_solver_on_diagonal_schur_form():
-    # constant coefficients assemble a diagonal matrix: every coupling block
-    # of T is zero, and U is diagonal with U_pp = 1 / (2 Re lambda_p)
+def blocked_route(A):
+    """U from _solve_lyapunov on A's Schur form and Z Y Z^H: the route
+    solve_lyapunov_core takes for a part that is not diagonal."""
+    with sik.lyapunov._Dense(A.shape[0]):
+        T, Z, w = sik.lyapunov._schur(A)
+        Y, calls = np.eye(A.shape[0], dtype=complex, order="F"), []
+
+        def trsyl(T1, T2, X):
+            calls.append(X.shape)
+            assert sik.lyapunov._trsyl(T1, T2, X) == (1.0, 0)
+
+        sik.lyapunov._solve_lyapunov(trsyl, T, Y)
+        U = Z @ Y @ Z.conj().T
+    return 0.5 * (U + U.conj().T), Y, T, Z, calls
+
+
+def constant_matrix(N):
     spec = OperatorSpec(
         a=TrigPoly.constant(1.0), b=TrigPoly.constant(2.0), c=TrigPoly.constant(3.0)
     )
-    A = assemble_A(spec, 70).entries
-    assert A.shape == (141, 141) and np.array_equal(A, np.diag(np.diag(A)))
+    A = assemble_A(spec, N).entries
+    assert A.shape == (2 * N + 1, 2 * N + 1) and np.array_equal(A, np.diag(np.diag(A)))
+    return A
+
+
+def test_blocked_solver_on_diagonal_schur_form():
+    # constant coefficients assemble a diagonal matrix, its own Schur form:
+    # every coupling block of T is zero, so every off-diagonal block of Y
+    # has a zero right-hand side and only the four diagonal blocks reach
+    # trsyl; Y is diagonal with Y_pp = 1 / (2 Re lambda_p)
+    A = constant_matrix(70)
+    _, Y, T, Z, calls = blocked_route(A)
+    assert np.array_equal(T, A) and np.array_equal(Z, np.eye(141))
+    assert calls == [(35, 35), (35, 35), (35, 35), (36, 36)]
+    assert np.array_equal(Y, np.diag(np.diag(Y)))
+    assert np.allclose(np.diag(Y), 1.0 / (2.0 * np.diag(A).real), rtol=1e-14, atol=0.0)
+
+
+def test_diagonal_part_in_closed_form(monkeypatch):
+    # a diagonal part skips zhseqr and trsyl: U = diag(1 / (2 Re lambda))
+    # equals the blocked route's bit for bit, at a size with one trsyl
+    # block and at one with a split
+    for N in (20, 70):
+        A = constant_matrix(N)
+        U_ref, *_ = blocked_route(A)
+        for name in ("_ZHSEQR", "_trsyl"):
+            monkeypatch.setattr(sik.lyapunov, name, None)  # a call would raise
+        U, ev, residual, _ = solve_lyapunov_core(A)
+        monkeypatch.undo()
+        assert U.tobytes() == U_ref.tobytes()
+        assert np.array_equal(ev, np.diag(A)) and residual < 1e-14
+
+
+def test_diagonal_route_keeps_the_pencil_test(monkeypatch):
+    # c = 1e-12 puts the mean mode's eigenvalue -1e-12 inside the pencil
+    # tolerance: the diagonal route raises before its closed form, and
+    # certify reports it
+    spec = OperatorSpec(TrigPoly.zero(), TrigPoly.zero(), TrigPoly.constant(1e-12))
+    A = assemble_A(spec, 40).entries
+    assert np.array_equal(A, np.diag(np.diag(A)))
+    monkeypatch.setattr(sik.lyapunov, "_ZHSEQR", None)
+    with pytest.raises(NearSingularPencil) as err:
+        solve_lyapunov_core(A)
+    monkeypatch.undo()
+    assert err.value.pair_min == pytest.approx(2e-12, rel=1e-9)
+    assert certified_index(spec).status == "SpectraTouchAxis"
+
+
+def film_half(N):
+    """One side of film's mirror pair at truncation N: tridiagonal, and
+    under the flush its Schur factors are banded."""
+    A = film_block(N)
+    return A[: A.shape[0] // 2, : A.shape[0] // 2]
+
+
+def test_banded_schur_form_skips_zero_right_hand_sides(monkeypatch):
+    # film's n = 350 part: the coupling GEMMs leave some off-diagonal
+    # blocks of Y exactly zero under the flush, and those never reach
+    # trsyl (a dense T of the same order needs all 36 calls)
+    A = film_half(351)
+    solved = []  # a zero solution means a zero right-hand side
+
+    def record(i, X, scale, info):
+        solved.append(X.any())
+        return X, scale, info
+
+    calls = patch_trsyl(monkeypatch, record)
     U, _, residual, _ = solve_lyapunov_core(A)
-    exact = 1.0 / (2.0 * np.diag(A).real)
-    assert np.array_equal(U, np.diag(np.diag(U)))
-    assert np.allclose(np.diag(U), exact, rtol=1e-14, atol=0.0)
-    assert residual < 1e-14
+    assert all(solved) and len(solved) == len(calls)
+    monkeypatch.undo()
+    dense = patch_trsyl(monkeypatch, lambda i, X, scale, info: (X, scale, info))
+    solve_lyapunov_core(stable_random(np.random.default_rng(89), A.shape[0]))
+    assert len(dense) == 36
+    if sik.lyapunov._Dense.fenv:  # without the flush the zeros stay subnormal
+        assert len(calls) < 36
+    U_ref = trsyl_solve(A)
+    assert np.linalg.norm(U - U_ref) <= 1e-12 * np.linalg.norm(U_ref)
+    assert residual < 1e-12
+
+
+def test_tiled_back_transform():
+    # each 64-row tile of Z multiplies only its nonzero columns: the same
+    # product as Z Y Z^H on film's banded Z, and exactly Y on Z = I
+    A = film_half(351)
+    with sik.lyapunov._Dense(A.shape[0]):
+        _, Z, _ = sik.lyapunov._schur(A)
+    G = np.random.default_rng(90).standard_normal((2, 350, 350))
+    Y = G[0] + 1j * G[1]
+    Y = Y + Y.conj().T
+    U = sik.lyapunov._back_transform(Z, Y)
+    ref = Z @ Y @ Z.conj().T
+    assert np.linalg.norm(U - ref) <= 1e-14 * np.linalg.norm(ref)
+    if sik.lyapunov._Dense.fenv:
+        assert not Z[:64, 100:].any()  # the first tile's range stops short
+    for n in (1, 64, 150):
+        assert np.array_equal(sik.lyapunov._back_transform(np.eye(n, dtype=complex), Y[:n, :n]),
+                              Y[:n, :n])
 
 
 def test_serial_blas_pins_one_thread_and_restores(monkeypatch):
@@ -465,7 +570,7 @@ def test_banded_residual_matches_gemm(max_mode):
 
 def test_lapack_bindings_drop_the_gil():
     # CFUNCTYPE releases the GIL around the foreign call; PYFUNCTYPE would hold it
-    for binding in (sik.lyapunov._ZHSEQR, sik.lyapunov._ZTRSYL):
+    for binding in (sik.lyapunov._ZHSEQR, sik.lyapunov._ZTRSYL, sik.lyapunov._ZHETRF):
         assert isinstance(binding, ctypes._CFuncPtr)
         assert not type(binding)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
     # the in-place call passes raw pointers: a row-major operand is refused

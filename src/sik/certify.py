@@ -1,7 +1,9 @@
 """End-to-end certification that kappa(A) equals the truncated count.
 
-The loop: assemble P_N A P_N, solve the truncated Lyapunov equation,
-bound |||U||| from the solution, and test the truncation conditions
+The loop: assemble P_N A P_N as its band, the 2w + 1 diagonals that
+coefficients of largest mode w fill (no dense matrix is built), solve the
+truncated Lyapunov equation, bound |||U||| from the solution, and test the
+truncation conditions
 
     condition 1:  N^2 > M |||U|||
     condition 2:  N^2 > M (1 + sqrt(1 + M)) |||U|||
@@ -11,19 +13,21 @@ right-half-plane count of the truncation provably equals the index of the
 full operator, and the certificate records both the Schur count and the
 Lyapunov-inertia count (they must agree for status Certified).
 
-Structural reduction, found in one pass over A_N's nonzeros (_split):
-singleton strongly connected components with exactly zero real diagonal
-(e.g. the mean mode of a pure-flux operator, whose matrix row vanishes
-identically) carry exact, axis-bound eigenvalues.  They are counted exactly
+Structural reduction, found in one scan of the band (_split): singleton
+strongly connected components with exactly zero real diagonal (e.g. the
+mean mode of a pure-flux operator, whose matrix row vanishes identically)
+carry exact, axis-bound eigenvalues.  They are counted exactly
 (contributing nothing to kappa) and excluded from the Lyapunov solve,
 which would otherwise be singular by construction; the block-triangular
 structure makes the spectrum split exactly, so this loses nothing.  The
 kept block's weakly connected components decouple exactly too, and real
 coefficients make A[-p,-q] = conj(A[p,q]): once that identity holds on
-every nonzero (checked with ==), of two mirror image components one is
+every entry (checked with ==), of two mirror image components one is
 solved, the other is its exact index-reversed conjugate.  So Lyapunov's
 equation is solved at most twice per truncation, on P (one side of each
-pair) and S (the rest).
+pair) and S (the rest), each block gathered from the band.  A diagonal
+band (w = 0: constant coefficients) keeps each part, and its U, as a
+diagonal: solved, bracketed and counted in O(n), with no dense kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .index import _ldl_n_plus, count_half_plane
 from .lyapunov import (_RESIDUAL_TOL, _Dense, _parts_scale, _schur, _sign_band,
                        solve_lyapunov_core)
 from .norms_estimates import TailReport, estimate_triple_U_kept
-from .operator_assembly import OperatorSpec, assemble_A, constant_M, d_weights
+from .operator_assembly import Band, OperatorSpec, assemble_band, constant_M, d_weights
 
 __all__ = [
     "CertifyOptions",
@@ -101,13 +105,14 @@ class Certificate:
         return asdict(self)
 
 
-def _split(A: np.ndarray):
-    """(keep, axis, P, S) of A, from one scan of its nonzeros.
+def _split(A: Band):
+    """(keep, axis, P, S) of A, from one scan of its band (none when w = 0).
 
     axis: the singleton strongly connected components whose diagonal entry
     has real part exactly 0.0, their eigenvalues known exactly (block-
-    triangular structure); keep: the rest, in order.  When every nonzero of
-    A equals its mirror's conjugate, A[n-1-i, n-1-j] = conj(A[i, j]), p ->
+    triangular structure); keep: the rest, in order.  When every entry of A
+    equals its mirror's conjugate, A[n-1-i, n-1-j] = conj(A[i, j]) (the band
+    reversed both ways is its conjugate), p ->
     -p maps A's graph onto itself, strong components and Re diag with it:
     keep is mirror-symmetric, each weak component of the kept block has one
     mirror, and conj(A[P, P]) = A[P', P'].  P takes the smaller label of
@@ -116,8 +121,9 @@ def _split(A: np.ndarray):
     all of keep: a non-real A whose P block alone mirrors is solved whole,
     slower but as exact (OperatorSpec refuses non-real coefficients).
     """
-    n = A.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(A != 0.0), n)  # rows ascending
+    n, w, band = A.shape[0], A.w, A.diags
+    rows, j = np.nonzero(band.T[:, ::-1]) if w else (np.zeros(0, dtype=int),) * 2
+    cols = rows + j - w  # (rows, cols) ascending, as a dense scan finds them
     diagonal = np.array_equal(rows, cols)  # each mode its own component, as csgraph labels
 
     def labels(edges, connection):  # the components of A's graph on these of its edges
@@ -126,10 +132,9 @@ def _split(A: np.ndarray):
         return scipy.sparse.csgraph.connected_components(graph, connection=connection)[1]
 
     strong = np.arange(n) if diagonal else labels(slice(None), "strong")
-    on_axis = (np.bincount(strong)[strong] == 1) & (np.diagonal(A).real == 0.0)
+    on_axis = (np.bincount(strong)[strong] == 1) & (band[w].real == 0.0)
     keep, axis = np.flatnonzero(~on_axis), np.flatnonzero(on_axis)
-    if keep.size <= _SPLIT_MIN or not np.array_equal(
-            A[rows, cols].conj(), A[n - 1 - rows, n - 1 - cols]):
+    if keep.size <= _SPLIT_MIN or not np.array_equal(band.conj(), band[::-1, ::-1]):
         return keep, axis, keep[:0], keep
     # the axis modes' edges cut: components numbered by lowest node, as in the kept block
     weak = keep if diagonal else labels(~(on_axis[rows] | on_axis[cols]), "weak")[keep]
@@ -138,8 +143,8 @@ def _split(A: np.ndarray):
 
 
 def exact_axis_split(A: np.ndarray):
-    """(keep, axis) index arrays from the sparsity pattern of A: _split's first two."""
-    return _split(A)[:2]
+    """(keep, axis) index arrays from the sparsity pattern of a dense A: _split's first two."""
+    return _split(Band.of(A))[:2]
 
 
 def _now():
@@ -154,14 +159,15 @@ def _expand(parts, values):
 
 @dataclass
 class _Truncation:
-    """One truncation N: the entries A of P_N A P_N, its exact axis split,
-    the kept block's parts (modes, weight 2 for P and its mirror, 1 for S),
-    the whole kept block's eigenvalues, each part's U and the kept block's
+    """One truncation N: P_N A P_N as its band, its exact axis split, the
+    kept block's parts (modes, weight 2 for P and its mirror, 1 for S), the
+    whole kept block's eigenvalues, each part's U and the kept block's
     residual (both None when a part's pencil is singular).  The parts are
-    U's only form: it is zero between them, and P's mirror holds conj(U_P)."""
+    U's only form: it is zero between them, and P's mirror holds conj(U_P).
+    Of a diagonal band each part's block and U are their diagonals."""
 
     N: int
-    A: np.ndarray
+    band: Band
     keep: np.ndarray
     axis: np.ndarray
     parts: list
@@ -176,32 +182,33 @@ class _Truncation:
 
     @property
     def largest(self) -> int:
-        """The largest part's modes: the order of every dense kernel on it."""
-        return max((m.size for m, _ in self.parts), default=0)
+        """The order of every dense kernel: the largest part's modes, 0 if w = 0."""
+        return max((m.size for m, _ in self.parts), default=0) if self.band.w else 0
 
 
 def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
-    """Assemble P_N A P_N, peel its axis modes, solve the kept block's parts.
+    """Assemble P_N A P_N's band, peel its axis modes, solve the kept block's parts.
 
     Every part is attempted, so eigenvalues always hold the whole kept
     block's; a NearSingularPencil from any part leaves Us and residual None."""
-    A = assemble_A(spec, N).entries
-    keep, axis, P, S = _split(A)
-    parts = [(m, w) for m, w in ((P, 2), (S, 1)) if m.size]
-    blocks, solves = [A[np.ix_(m, m)] for m, _ in parts], []
-    scale = _parts_scale(blocks, [w for _, w in parts])
-    for block in blocks:
-        try:
-            solves.append(solve_lyapunov_core(block, scale))
-        except NearSingularPencil as exc:
-            solves.append((None, exc.eigenvalues, None, None))
-    t = _Truncation(N=N, A=A, keep=keep, axis=axis, parts=parts,
-                    eigenvalues=_expand(parts, [s[1] for s in solves]))
+    band = assemble_band(spec, N)
+    keep, axis, P, S = _split(band)
+    t = _Truncation(N=N, band=band, keep=keep, axis=axis,
+                    parts=[(m, w) for m, w in ((P, 2), (S, 1)) if m.size], eigenvalues=None)
+    solves = []
+    with _Dense(t.largest):
+        scale = _parts_scale(band, keep)
+        for m, _ in t.parts:
+            try:
+                solves.append(solve_lyapunov_core(band.block(m), scale))
+            except NearSingularPencil as exc:
+                solves.append((None, exc.eigenvalues, None, None))
+    t.eigenvalues = _expand(t.parts, [s[1] for s in solves])
     if all(s[0] is not None for s in solves):
         t.Us = [s[0] for s in solves]
         # ||R||_F^2 / n over the kept block: a mirror block's R is P's conjugate
         t.residual = math.sqrt(sum(w * (m.size / keep.size) * (s[2] * s[2])
-                                   for (m, w), s in zip(parts, solves)))
+                                   for (m, w), s in zip(t.parts, solves)))
     return t
 
 
@@ -254,11 +261,11 @@ def _certify(spec: OperatorSpec, opts: CertifyOptions | None = None):
             tail = _bracket(t, M)
             # D^2 U D^2 per part: U's inertia, eigenvalues off zero by the elliptic estimate
             d2 = d_weights(N) ** 2
-            counts = [_ldl_n_plus(d2[m, None] * U * d2[None, m])
+            counts = [_ldl_n_plus(d2[m] * U * d2[m] if U.ndim == 1
+                                  else d2[m, None] * U * d2[None, m])
                       for (m, _), U in zip(t.parts, t.Us or ())]
-            n_plus, _, n_zero, gap = count_half_plane(
-                t.eigenvalues, _sign_band(t.A, t.blocks, t.residual)
-            )
+            n_plus, _, n_zero, gap = count_half_plane(t.eigenvalues,
+                                                      _sign_band(t.band, t.blocks, t.residual))
         if tail is not None:
             tripleU_upper = tail.tripleU_upper
             cond1 = float(N) ** 2 > M * tripleU_upper
@@ -280,22 +287,10 @@ def _certify(spec: OperatorSpec, opts: CertifyOptions | None = None):
             status = STATUS_CONDITION_NOT_MET
 
         cert = Certificate(
-            spec_digest=digest,
-            M=M,
-            N_final=N,
-            delta_N=M / float(N) ** 2,
-            c_N=c_N,
-            tripleU_upper=tripleU_upper,
-            cond1_ok=bool(cond1),
-            cond2_ok=bool(cond2),
-            kappa_schur=kappa_schur,
-            kappa_lyapunov=kappa_lyap,
-            residual=t.residual,
-            axis_gap=gap,
-            status=status,
-            n_axis=int(t.axis.size),
-            timestamp=_now(),
-        )
+            spec_digest=digest, M=M, N_final=N, delta_N=M / float(N) ** 2, c_N=c_N,
+            tripleU_upper=tripleU_upper, cond1_ok=bool(cond1), cond2_ok=bool(cond2),
+            kappa_schur=kappa_schur, kappa_lyapunov=kappa_lyap, residual=t.residual,
+            axis_gap=gap, status=status, n_axis=int(t.axis.size), timestamp=_now())
         if cond2 or tail is None or N >= opts.max_N:
             return cert, t
         N = min(max(_next_order(M, tail.lambda_max) + _MARGIN, N + 1), opts.max_N)
@@ -307,7 +302,8 @@ def cross_validate(cert: Certificate, spec: OperatorSpec):
 
     Recounts kappa from Schur diagonals of the kept block's parts: at 2N
     the pipeline's own, at N one Schur per part of A_N (the 2N parts cut
-    to |p| <= N).  The 2N band is _sign_band's half certified gap (its
+    to |p| <= N, gathered from the band at N: the 2N band's centre, entry
+    for entry), a diagonal part's its diagonal.  The 2N band is _sign_band's half certified gap (its
     floor n eps ||A_2N|| when that pencil is singular), the N band the
     floor n eps ||A_N||.  n_zero_N and n_zero_2N count eigenvalues inside
     those bands; kappa_stable needs none, and all three counts equal.
@@ -321,15 +317,14 @@ def cross_validate(cert: Certificate, spec: OperatorSpec):
 
     t2 = _solve_truncation(spec, 2 * N)
     with _Dense(t2.largest):
-        A_N = t2.A[N : 3 * N + 1, N : 3 * N + 1]  # modes |p| <= N: exactly P_N A P_N
+        A_N = assemble_band(spec, N)  # the 2N band's modes |p| <= N, entry for entry
         sel = [np.abs(m - 2 * N) <= N for m, _ in t2.parts]
         rows = [m[s] - N for (m, _), s in zip(t2.parts, sel)]
-        T_N = [_schur(A_N[np.ix_(r, r)])[0] for r in rows]
-        ev_N = _expand(t2.parts, map(np.diagonal, T_N))
+        blocks = [A_N.block(r) for r in rows]
+        ev_N = _expand(t2.parts, [b if b.ndim == 1 else np.diagonal(_schur(b)[0]) for b in blocks])
         report["kappa_N"], _, report["n_zero_N"], _ = count_half_plane(ev_N, _sign_band(A_N))
         report["kappa_2N"], _, report["n_zero_2N"], _ = count_half_plane(
-            t2.eigenvalues, _sign_band(t2.A, t2.blocks, t2.residual)
-        )
+            t2.eigenvalues, _sign_band(t2.band, t2.blocks, t2.residual))
         report["kappa_stable"] = (
             report["kappa_N"] == report["kappa_2N"] == cert.kappa_schur
             and report["n_zero_N"] == report["n_zero_2N"] == 0)
@@ -340,11 +335,16 @@ def cross_validate(cert: Certificate, spec: OperatorSpec):
             return report
 
         lyap, sing = [], []  # a mirror block's H and X are P's conjugates: same spectra
-        for s, r, U in zip(sel, rows, t2.Us):
-            U_N, A_sub = U[np.ix_(s, s)], A_N[np.ix_(r, r)]
+        for s, r, A_sub, U in zip(sel, rows, blocks, t2.Us):
+            d2 = d_weights(N)[r] ** 2
+            if U.ndim == 1:  # a diagonal part: H and D^2 U D^2 are diagonal, their own spectra
+                H = A_sub.conj() * U[s] + U[s] * A_sub
+                lyap.append(H.real)
+                sing.append(np.abs(d2 * U[s] * d2))
+                continue
+            U_N = U[np.ix_(s, s)]
             H = A_sub.conj().T @ U_N + U_N @ A_sub
             lyap.append(np.linalg.eigvalsh(0.5 * (H + H.conj().T)))
-            d2 = d_weights(N)[r] ** 2
             sing.append(np.linalg.svd(d2[:, None] * U_N * d2[None, :], compute_uv=False))
         report["lyap_min"] = lyap_min = float(np.min(np.concatenate(lyap)))
         report["c_N"] = cert.c_N

@@ -216,7 +216,7 @@ def cmd_spectrum(config_path, out_path=None) -> int:
         exit_code = _EXIT_BY_STATUS[cert.status]
 
     # the kept block's Schur eigenvalues and the exact axis modes
-    eigs = np.concatenate([t.eigenvalues, np.diagonal(t.A)[t.axis]])
+    eigs = np.concatenate([t.eigenvalues, t.band.diags[t.band.w, t.axis]])
     order = np.lexsort((eigs.imag, -eigs.real))
     lines = ["re,im"]
     for ev in eigs[order]:

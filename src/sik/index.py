@@ -76,18 +76,17 @@ def _ldl_n_plus(X: np.ndarray) -> int | None:
     """n_plus of a Hermitian X from one Bunch-Kaufman LDL^H (zhetrf, in
     place for a complex X, without the GIL; by Sylvester's law D has X's
     inertia).  None when a pivot eigenvalue is within _sign_band(X) =
-    n eps ||X|| of zero: X is within rounding of singular.  Under
+    n eps ||X|| of zero: X is within rounding of singular.  A diagonal X
+    given as its diagonal (1-D) is its own D, read in O(n).  Under
     lyapunov._Dense's abrupt underflow each flushed term is below tiny =
     2.2e-308, a backward error of order n tiny: inside that band whenever
     ||X|| > tiny / eps = 1e-292."""
-    n = X.shape[0]
     band = _sign_band(X)
-    if np.count_nonzero(X) == np.count_nonzero(X.diagonal()):
-        ldu, ipiv = X, np.ones(n)  # a diagonal X is its own D: skip hetrf's n BLAS-2 calls
-    else:
-        ldu = np.asfortranarray(X.T, dtype=complex)  # conj(X), in place when X is complex
-        ipiv = _hetrf(ldu)
-    d, idx, two = ldu.diagonal().real, np.arange(n), ipiv < 0
+    if X.ndim == 1:
+        return None if np.any(np.abs(X.real) <= band) else int(np.sum(X.real > 0))
+    ldu = np.asfortranarray(X.T, dtype=complex)  # conj(X), in place when X is complex
+    ipiv = _hetrf(ldu)
+    d, idx, two = ldu.diagonal().real, np.arange(X.shape[0]), ipiv < 0
     # 2x2 blocks (ipiv[k] = ipiv[k+1] < 0) pair each run of ipiv < 0 from its start
     k = idx[two & ((idx - np.maximum.accumulate(np.where(two, 0, idx + 1))) % 2 == 0)]
     m, r = 0.5 * (d[k] + d[k + 1]), np.hypot(0.5 * (d[k] - d[k + 1]), np.abs(ldu[k + 1, k]))

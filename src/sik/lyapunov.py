@@ -25,7 +25,7 @@ import scipy.linalg.cython_lapack
 
 from .errors import NearSingularPencil
 from .fourier_core import Kernel2D
-from .operator_assembly import SpectralMatrix
+from .operator_assembly import Band, SpectralMatrix
 
 __all__ = [
     "GreenKernel",
@@ -75,34 +75,49 @@ class LyapunovSolution:
     pair_min: float
 
 
-def _matrix_scale(A: np.ndarray) -> float:
-    # cheap upper bound for ||A||_2; only used to scale tolerances
-    return _parts_scale([A], [1])
+def _matrix_scale(A) -> float:
+    """Cheap upper bound for ||A||_2, only used to scale tolerances: min(Frobenius
+    norm, Schur's test sqrt(||A||_1 ||A||_inf)), 1.0 for zero.  A is dense, a
+    diagonal matrix as its diagonal, or a Band."""
+    if isinstance(A, Band):
+        return _parts_scale(A)
+    a = np.abs(A)
+    if A.ndim == 1:  # a diagonal matrix: its entries are its column and row sums
+        return _schur_test(math.sqrt(float(np.sum(a * a))), a, a)
+    return _schur_test(float(np.linalg.norm(A)), a.sum(axis=0), a.sum(axis=1))
 
 
-def _parts_scale(blocks, weights) -> float:
-    """_matrix_scale of the block-diagonal matrix of blocks[i], each weights[i]
-    times: min(Frobenius norm, Schur's test sqrt(||.||_1 ||.||_inf)), 1.0 for zero."""
-    fro = math.sqrt(sum(w * float(np.linalg.norm(b)) ** 2 for b, w in zip(blocks, weights)))
-    absb = [np.abs(b) for b in blocks]
-    one = max((a.sum(axis=0).max(initial=0.0) for a in absb), default=0.0)
-    inf = max((a.sum(axis=1).max(initial=0.0) for a in absb), default=0.0)
+def _parts_scale(A: Band, keep=None) -> float:
+    """_matrix_scale of A[keep, keep] (all of A by default) from A's band, in
+    O(w n) without BLAS: the pencil scale of a kept block, block diagonal over
+    its parts.  Column sums add each diagonal's entry in that column."""
+    cols, a = np.clip(A.cols, 0, A.shape[0] - 1), np.abs(A.diags)  # clipped where a is 0
+    if keep is not None:
+        kept = np.zeros(A.shape[0], dtype=bool)
+        kept[keep] = True
+        a *= kept & kept[cols]
+    return _schur_test(math.sqrt(float(np.sum(a * a))),
+                       np.bincount(cols.ravel(), a.ravel(), A.shape[0]), a.sum(axis=0))
+
+
+def _schur_test(fro: float, col_sums, row_sums) -> float:
+    one, inf = col_sums.max(initial=0.0), row_sums.max(initial=0.0)
     return float(min(fro, math.sqrt(one * inf))) if fro else 1.0
 
 
-def _sign_band(A: np.ndarray, blocks=(), residual=None) -> float:
+def _sign_band(A, blocks=(), residual=None) -> float:
     """Half-width of the band around zero inside which no sign is decided.
 
     With a solve A^H U + U A = I + R, ||R||_2 <= residual sqrt(n) < 1,
     every eigenvalue of A has |Re l| >= (1 - ||R||) / (2 ||U||) (Ostrowski
     & Schneider, JMAA 4, 1962): the band is half that certified gap, U
-    given as the list of its diagonal blocks (zero between them).  Without
-    them, it is the backward-error floor n eps ||A||.
+    given as the list of its diagonal blocks (zero between them; a diagonal
+    one as its diagonal).  Without them, it is the floor n eps ||A||.
     """
     n = sum(b.shape[0] for b in blocks)
     if n:
         slack = 1.0 - residual * math.sqrt(n)
-        u_fro = math.sqrt(sum(float(np.linalg.norm(b)) ** 2 for b in blocks))
+        u_fro = math.sqrt(sum(float(np.sum(b.real * b.real + b.imag * b.imag)) for b in blocks))
         if slack > 0.0 and u_fro > 0.0:
             return 0.25 * slack / u_fro
     return A.shape[0] * np.finfo(float).eps * _matrix_scale(A)
@@ -173,8 +188,10 @@ class _Dense:
     """Context for dense work on blocks of n modes: for n <= _SERIAL_MAX,
     the bundled OpenBLAS at one thread while any such holder is inside, in
     whichever thread (the last to leave puts the counts back; meanwhile
-    every BLAS call in the process runs serially); for every n, abrupt
-    underflow in the calling thread, its MXCSR put back on exit.
+    every BLAS call in the process runs serially); for every n > 0, abrupt
+    underflow in the calling thread, its MXCSR put back on exit.  n = 0
+    holds nothing: O(n) work on diagonals calls no BLAS, and its values
+    stay far from the subnormal range.
 
     Film's kept blocks are far from normal: most entries of their Schur
     vectors underflow, and arithmetic on subnormal numbers is slow (film's
@@ -188,7 +205,7 @@ class _Dense:
     fenv = _fenv_calls()
 
     def __init__(self, n: int):
-        self.serial = n <= _SERIAL_MAX
+        self.serial, self.flush = 0 < n <= _SERIAL_MAX, n and self.fenv
         self.env = _FEnv()
 
     def __enter__(self):
@@ -199,14 +216,14 @@ class _Dense:
                     for _, put in self.calls:
                         put(1)
                 _Dense.holders += 1
-        if self.fenv:
+        if self.flush:
             self.fenv[0](self.env)
             flushed = _FEnv.from_buffer_copy(self.env)
             flushed.mxcsr |= _FTZ_DAZ
             self.fenv[1](flushed)
 
     def __exit__(self, *exc):
-        if self.fenv:
+        if self.flush:
             self.fenv[1](self.env)
         if self.serial:
             with self.lock:
@@ -374,9 +391,10 @@ def solve_lyapunov_core(A: np.ndarray, scale=None):
 
     One complex Schur decomposition plus the blocked triangular solve
     above, in place, each skipping exact zeros: a diagonal A is its own
-    Schur form and U = diag(1 / (2 Re lambda)) in closed form; otherwise
-    all-zero right-hand sides are not solved, couplings run over T's
-    nonzero ranges, and Z Y Z^H over Z's.  Returns (U, eigenvalues,
+    Schur form and U = diag(1 / (2 Re lambda)) in closed form (a 1-D A is
+    a diagonal matrix's diagonal, and U comes back as U's, in O(n) with no
+    _Dense hold); otherwise all-zero right-hand sides are not solved,
+    couplings run over T's nonzero ranges, and Z Y Z^H over Z's.  Returns (U, eigenvalues,
     residual, pair_min) where residual = ||A^H U + U A - I||_F / sqrt(n)
     and pair_min is the minimal |lambda_i + conj(lambda_j)| over
     eigenvalue pairs.
@@ -395,10 +413,10 @@ def solve_lyapunov_core(A: np.ndarray, scale=None):
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     if n == 0:  # every mode was peeled onto the axis: nothing to solve
-        return np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex), 0.0, math.inf
-    with _Dense(n):
-        T, Z, w = _schur(A)
-        ev = np.diag(T).copy()
+        return np.zeros((0,) * A.ndim, dtype=complex), np.zeros(0, dtype=complex), 0.0, math.inf
+    with _Dense(n if A.ndim == 2 else 0):
+        T, Z, w = _schur(A) if A.ndim == 2 else (A, None, 0)
+        ev = (np.diag(T) if A.ndim == 2 else A).copy()
         pair_min = float(np.abs(ev[:, None] + ev[None, :].conj()).min())
         tol = _PENCIL_TOL * (_matrix_scale(A) if scale is None else scale)
         if pair_min <= tol:
@@ -410,7 +428,8 @@ def solve_lyapunov_core(A: np.ndarray, scale=None):
                 tol=tol,
             )
         if w == 0:  # its own Schur form; trsyl's 1 / (conj(l) + l) is this value too
-            U = np.diag(1.0 / (2.0 * ev.real)).astype(complex)
+            U = (1.0 / (2.0 * ev.real)).astype(complex)
+            U = np.diag(U) if A.ndim == 2 else U
         else:
             Y = np.eye(n, dtype=complex, order="F")
             y_scale = 1.0
@@ -435,10 +454,11 @@ def solve_lyapunov_core(A: np.ndarray, scale=None):
             U = _back_transform(Z, Y / y_scale)
             U = 0.5 * (U + U.conj().T)
         # by diagonals/GEMM, 1 thread, x86-64: w=1 n=60 0.08/0.05 ms, n=350 2.0/8.7
-        R = _times_band(U, A, w) if 32 * (2 * w + 1) < n else U @ A  # A^H U + U A = R + R^H
-        R += R.conj().T
-        R -= np.eye(n)
-        residual = float(np.linalg.norm(R)) / math.sqrt(n)
+        R = U * A if A.ndim == 1 else _times_band(U, A, w) if 32 * (2 * w + 1) < n else U @ A
+        R += R.conj().T  # A^H U + U A = R + R^H
+        R -= np.eye(n) if A.ndim == 2 else 1.0
+        residual = (float(np.linalg.norm(R)) if A.ndim == 2
+                    else math.sqrt(float(np.sum(R.real * R.real)))) / math.sqrt(n)
     if residual > _RESIDUAL_TOL:
         warnings.warn(
             f"Lyapunov residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}; "

@@ -113,9 +113,15 @@ def estimate_triple_U_kept(Us: list, modes: list, N: int, M: float) -> TailRepor
     is W with its columns reversed, which leaves sigma_max alone; a
     contiguous copy of that reversed view sums the bound's products in the
     kernel view's order, so both views give the same bound bit for bit.
+    A diagonal block, given as its diagonal, has a diagonal W: its largest
+    entry is sigma_max, found in O(n) as _sigma_max finds it.
     """
 
     def sigma_max(U, m):
+        if U.ndim == 1:
+            p = (m - N).astype(float)
+            return float(np.max(np.abs(U / _TWO_PI - green_kernel(N).diag_coeffs[m])
+                                * (2.0 + p**4 + p**4)))
         lo, hi = m.min(), m.max() + 1
         X = U / _TWO_PI
         X[np.diag_indices_from(X)] -= green_kernel(N).diag_coeffs[m]

@@ -1,4 +1,4 @@
-"""Spectral matrix of A and derived constants.
+"""Spectral matrix of A, as its band of diagonals, and derived constants.
 
 The operator family, acting on 2pi-periodic functions:
 
@@ -9,6 +9,8 @@ basis e^{ipx} the matrix entries are
 
     A[p, q] = -q^4 d_{pq} + p^2 ahat(p-q) + i p bhat(p-q) - chat(p-q)
 
+Only the diagonals |p - q| <= max_mode of the coefficients are nonzero;
+assemble_band stores those, and assemble_A is their dense expansion.
 The formal adjoint A* g = -g'''' - a g'' - b g' - c g is not assembled: for
 real coefficients its matrix is the conjugate transpose of A's.
 """
@@ -26,6 +28,8 @@ from .fourier_core import TrigPoly, leibnitz_constant, sobolev_norm
 __all__ = [
     "OperatorSpec",
     "SpectralMatrix",
+    "Band",
+    "assemble_band",
     "assemble_A",
     "constant_M",
     "benilov_coefficients",
@@ -80,32 +84,66 @@ class SpectralMatrix:
         self.N = n
 
 
-def _band_fill(out, N, mode, a_m, b_m, c_m):
-    # rows r = p + N with both p and q = p - mode inside [-N, N]
-    r = np.arange(max(0, mode), min(2 * N, 2 * N + mode) + 1)
-    if r.size == 0:
-        return
-    cols = r - mode
-    pv = (r - N).astype(float)
-    out[r, cols] += pv**2 * a_m + 1j * pv * b_m - c_m
+@dataclass(eq=False)
+class Band:
+    """A square matrix by its 2w + 1 diagonals: diags[w + m, r] = A[r, r - m],
+    zero where the column r - m falls outside [0, n)."""
+
+    diags: np.ndarray
+
+    @classmethod
+    def of(cls, A: np.ndarray) -> "Band":
+        """The band of a dense matrix, w its largest |i - j| over nonzeros."""
+        i, j = np.nonzero(A)
+        w = int(np.abs(i - j).max(initial=0))
+        diags = np.zeros((2 * w + 1, A.shape[0]), dtype=complex)
+        diags[w + i - j, i] = A[i, j]
+        return cls(diags)
+
+    w = property(lambda self: self.diags.shape[0] // 2)
+    shape = property(lambda self: (self.diags.shape[1],) * 2)
+    # cols[w + m, r] = r - m: each entry's column, outside [0, n) where it is zero
+    cols = property(lambda self: np.arange(self.shape[0]) - np.arange(-self.w, self.w + 1)[:, None])
+
+    def dense(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """A[lo:hi, lo:hi], all of A by default."""
+        hi = self.shape[0] if hi is None else hi
+        rows, cols = np.broadcast_arrays(np.arange(self.shape[0]), self.cols)
+        ok = (rows >= lo) & (rows < hi) & (cols >= lo) & (cols < hi)
+        out = np.zeros((hi - lo,) * 2, dtype=complex)
+        out[rows[ok] - lo, cols[ok] - lo] = self.diags[ok]
+        return out
+
+    def block(self, m: np.ndarray) -> np.ndarray:
+        """A[np.ix_(m, m)] for ascending modes m, from the window they span;
+        of a diagonal A (w = 0) its diagonal, the block's only form."""
+        if not self.w:
+            return self.diags[0, m]
+        lo, hi = (m[0], m[-1] + 1) if m.size else (0, 0)
+        window = self.dense(lo, hi)
+        return window if m.size == hi - lo else window[np.ix_(m - lo, m - lo)]
+
+
+def assemble_band(spec: OperatorSpec, N: int) -> Band:
+    """P_N A P_N as a Band of w = max_mode: mode m = p - q fills diagonal m
+    once, from each row's p alone."""
+    if N < spec.max_mode:
+        warnings.warn(f"N={N} below coefficient max_mode={spec.max_mode}: "
+                      "coefficient truncation in the assembled matrix", stacklevel=3)
+    n, w = 2 * N + 1, spec.max_mode
+    diags = np.zeros((2 * w + 1, n), dtype=complex)
+    diags[w] = -(np.arange(-N, N + 1, dtype=float) ** 4)
+    modes = set(spec.a.coeffs) | set(spec.b.coeffs) | set(spec.c.coeffs)
+    for m in sorted(modes):  # rows r = p + N with both p and q = p - m inside [-N, N]
+        r = np.arange(max(0, m), min(2 * N, 2 * N + m) + 1)
+        pv = (r - N).astype(float)
+        diags[w + m, r] += pv**2 * spec.a.coeff(m) + 1j * pv * spec.b.coeff(m) - spec.c.coeff(m)
+    return Band(diags)
 
 
 def assemble_A(spec: OperatorSpec, N: int) -> SpectralMatrix:
-    """Matrix of P_N A P_N in the mode basis."""
-    if N < spec.max_mode:
-        warnings.warn(
-            f"N={N} below coefficient max_mode={spec.max_mode}: "
-            "coefficient truncation in the assembled matrix",
-            stacklevel=2,
-        )
-    n = 2 * N + 1
-    out = np.zeros((n, n), dtype=complex)
-    p = np.arange(-N, N + 1, dtype=float)
-    out[np.arange(n), np.arange(n)] = -(p**4)
-    modes = set(spec.a.coeffs) | set(spec.b.coeffs) | set(spec.c.coeffs)
-    for m in sorted(modes):
-        _band_fill(out, N, m, spec.a.coeff(m), spec.b.coeff(m), spec.c.coeff(m))
-    return SpectralMatrix(out, N)
+    """Matrix of P_N A P_N in the mode basis: assemble_band's, expanded."""
+    return SpectralMatrix(assemble_band(spec, N).dense(), N)
 
 
 def d_weights(N: int) -> np.ndarray:

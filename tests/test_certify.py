@@ -38,8 +38,8 @@ from sik import (
 from sik.certify import _next_order, _solve_truncation, _split, exact_axis_split
 from sik.errors import NearSingularPencil
 from sik.index import _ldl_n_plus
-from sik.lyapunov import _matrix_scale, _parts_scale, _sign_band, solve_lyapunov_core
-from sik.operator_assembly import d_weights
+from sik.lyapunov import _Dense, _matrix_scale, _parts_scale, _sign_band, solve_lyapunov_core
+from sik.operator_assembly import Band, assemble_band, d_weights
 
 
 def constant_spec(a0, b0, c0):
@@ -518,13 +518,16 @@ def test_residual_tol_blocks_certified(monkeypatch):
 def test_one_truncated_solve_pipeline():
     # the certify path and the CLI solve each truncation through one
     # function, stay off the Kernel2D reference types and off the eig/inv
-    # route; the only Schur outside the solve is cross_validate's recount at
+    # route, and off the dense matrix (each truncation is assembled as its
+    # band); the only Schur outside the solve is cross_validate's recount at
     # N, and the only eigvalsh its Lyapunov floor: certified_index reads the
     # inertia from the LDL^H count, and sik spectrum writes the record's own
     # eigenvalues.  Every sign band on the path is a _sign_band(...) call,
     # and _sign_band is defined once.  A singular pencil is caught once, in
     # _solve_truncation, which returns the unsolved record
     sites = {
+        "assemble_A": [],
+        "assemble_band": [],
         "solve_lyapunov_core": [],
         "exact_axis_split": [],
         "_split": [],
@@ -555,6 +558,8 @@ def test_one_truncated_solve_pipeline():
                 if name in sites:
                     sites[name].append(fn.name)
     assert sites == {
+        "assemble_A": [],
+        "assemble_band": ["_solve_truncation", "cross_validate"],
         "solve_lyapunov_core": ["_solve_truncation"],
         "exact_axis_split": [],
         "_split": ["exact_axis_split", "_solve_truncation"],
@@ -638,7 +643,7 @@ def test_mirror_split_pairs_benilov_kept_block(alpha, N):
     # are peeled, nothing joins p <= -k to p >= k (k = 2 for alpha1 = 0,
     # else 1), so the kept block is those two halves, exact mirror images
     A = assemble_A(benilov_coefficients(*alpha), N).entries
-    keep, _, P, S = _split(A)
+    keep, _, P, S = _split(Band.of(A))
     k = 2 if alpha[0] == 0.0 else 1
     assert (P - N).tolist() == list(range(-N, 1 - k)) and S.size == 0
     Q = 2 * N - P
@@ -656,12 +661,12 @@ def test_mirror_split_keeps_components_whole():
     A = np.diag(-(1.0 + p**2) + 1j * p)
     A[0, N] = A[N, 0] = 1.0
     keep = np.arange(2 * N + 1)
-    kept, _, P, S = _split(A)
+    kept, _, P, S = _split(Band.of(A))
     assert np.array_equal(kept, keep)
     assert P.size == 0 and np.array_equal(S, keep)
     # the mirror coupling of p = N to p = 0 makes {-N, 0, N} self-mirror
     A[2 * N, N] = A[N, 2 * N] = 1.0
-    kept, _, P, S = _split(A)
+    kept, _, P, S = _split(Band.of(A))
     assert np.array_equal(kept, keep)
     assert (P - N).tolist() == list(range(1 - N, 0)) and (S - N).tolist() == [-N, 0, N]
 
@@ -713,17 +718,22 @@ def random_patterns(rng):
                 yield A
 
 
-def benchmark_truncations():
+def benchmark_specs():
     # the film and certify_validate iterations, the sweep grid's Benilov
     # rows, and constant-coefficient specs of the batch's range
     for alpha, N in [((0.0, 1.0, 0.02), 18), ((0.0, 1.0, 0.02), 351), ((0.0, 1.0, 0.05), 12),
                      ((0.0, 1.0, 0.05), 136), ((0.0, 1.0, 0.05), 272)]:
-        yield assemble_A(benilov_coefficients(*alpha), N).entries
+        yield benilov_coefficients(*alpha), N
     for a1 in (0.0, 0.01, 0.5):
         for a3 in (0.5, 0.2, 0.1, 0.07):
-            yield assemble_A(benilov_coefficients(a1, 1.0, a3), 40).entries
+            yield benilov_coefficients(a1, 1.0, a3), 40
     for coeffs in [(3.0, 1.0, 2.0), (-7.5, 4.0, 0.0), (9.0, -2.0, -6.0)]:
-        yield assemble_A(constant_spec(*coeffs), 30).entries
+        yield constant_spec(*coeffs), 30
+
+
+def benchmark_truncations():
+    for spec, N in benchmark_specs():
+        yield assemble_A(spec, N).entries
 
 
 def test_shared_graph_splits_equal_dense_pattern_splits():
@@ -731,8 +741,12 @@ def test_shared_graph_splits_equal_dense_pattern_splits():
     rng = np.random.default_rng(5)
     for A in [*benchmark_truncations(), *random_patterns(rng)]:
         keep, axis, P, S = reference_splits(A)[:4]
-        assert all(map(np.array_equal, _split(A), (keep, axis, P, S)))
+        assert all(map(np.array_equal, _split(Band.of(A)), (keep, axis, P, S)))
         assert all(map(np.array_equal, exact_axis_split(A), (keep, axis)))
+    # and the assembled band, of w = max_mode, against its dense expansion
+    for spec, N in benchmark_specs():
+        expected = reference_splits(assemble_A(spec, N).entries)[:4]
+        assert all(map(np.array_equal, _split(assemble_band(spec, N)), expected))
 
 
 def test_diagonal_splits_build_no_components(monkeypatch):
@@ -751,7 +765,8 @@ def test_diagonal_splits_build_no_components(monkeypatch):
     monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", refuse)
     assert len(cases) > 10
     for A, (keep, axis, P, S) in zip(cases, expected):
-        assert all(map(np.array_equal, _split(A), (keep, axis, P, S)))
+        assert Band.of(A).w == 0
+        assert all(map(np.array_equal, _split(Band.of(A)), (keep, axis, P, S)))
         assert all(map(np.array_equal, exact_axis_split(A), (keep, axis)))
 
 
@@ -781,23 +796,23 @@ def test_split_labels_once_per_connection(monkeypatch):
 ])
 def test_pencil_scale_from_parts_equals_whole_block(spec, N, touch):
     # the kept block is block diagonal over P, its mirror and S: its
-    # _matrix_scale follows from the parts' blocks alone
-    t = _solve_truncation(spec, N)
-    keep, _, P, S = _split(t.A)
+    # _matrix_scale follows from the band's kept rows and columns alone
+    t, A = _solve_truncation(spec, N), assemble_A(spec, N).entries
+    keep, _, P, S = _split(t.band)
     assert np.array_equal(t.keep, keep)
     parts = [(m.tolist(), w) for m, w in ((P, 2), (S, 1)) if m.size]
     assert [(m.tolist(), w) for m, w in t.parts] == parts
-    blocks = [t.A[np.ix_(m, m)] for m, _ in t.parts]
-    whole = _matrix_scale(t.A[np.ix_(t.keep, t.keep)])
-    assert _parts_scale(blocks, [w for _, w in t.parts]) == pytest.approx(whole, rel=1e-14)
+    whole = _matrix_scale(A[np.ix_(t.keep, t.keep)])
+    assert _parts_scale(t.band, t.keep) == pytest.approx(whole, rel=1e-14)
+    assert _matrix_scale(t.band) == pytest.approx(_matrix_scale(A), rel=1e-14)
     if touch:
         # S = {0} alone passes the pencil test at its own scale; at the kept
         # block's it is singular, and the certificate says so
-        (S, w), scale = t.parts[-1], _parts_scale(blocks, [w for _, w in t.parts])
+        (S, w), scale = t.parts[-1], _parts_scale(t.band, t.keep)
         assert (S.tolist(), w) == ([N], 1)
-        solve_lyapunov_core(t.A[np.ix_(S, S)])
+        solve_lyapunov_core(A[np.ix_(S, S)])
         with pytest.raises(NearSingularPencil):
-            solve_lyapunov_core(t.A[np.ix_(S, S)], scale)
+            solve_lyapunov_core(A[np.ix_(S, S)], scale)
         assert certified_index(spec).status == "SpectraTouchAxis"
 
 
@@ -807,7 +822,7 @@ def test_mirror_split_needs_equal_values_and_pattern():
     # value of the other half matched, must each keep the block whole
     N = 60
     A = assemble_A(benilov_coefficients(0.0, 1.0, 0.02), N).entries
-    keep, _, P, S = _split(A)
+    keep, _, P, S = _split(Band.of(A))
     assert P.size and not S.size
     i, j = P[0], P[1]  # p = -N and -N+1: coupled, so A[i, j] != 0
     Q = 2 * N - P  # P's mirror modes
@@ -819,7 +834,7 @@ def test_mirror_split_needs_equal_values_and_pattern():
     for B in (changed, extra):
         ref = reference_splits(B)
         assert np.array_equal(ref[0], keep) and np.array_equal(ref[3], keep)
-        kept, _, P_got, S_got = _split(B)
+        kept, _, P_got, S_got = _split(Band.of(B))
         assert np.array_equal(kept, keep)
         assert P_got.size == 0 and np.array_equal(S_got, keep)
     # so must a value off its mirror outside both halves: A[p=2, q=1]
@@ -829,16 +844,18 @@ def test_mirror_split_needs_equal_values_and_pattern():
     coupling[N + 2, N + 1] *= 1.0 + 1e-15
     ref = reference_splits(coupling)
     assert np.array_equal(ref[0], keep) and np.array_equal(ref[2], P) and P.size == 59
-    kept, _, P_got, S_got = _split(coupling)
+    kept, _, P_got, S_got = _split(Band.of(coupling))
     assert np.array_equal(kept, keep)
     assert P_got.size == 0 and np.array_equal(S_got, keep) and keep.size == 118
 
 
 def whole_U(t):
     """The whole kept block's U, in keep order, assembled from t's parts:
-    zero between parts, conj(U_P) on P's mirror."""
+    zero between parts, conj(U_P) on P's mirror; a diagonal part's U is
+    its diagonal."""
     U = np.zeros((t.keep.size,) * 2, dtype=complex)
     for (m, w), V in zip(t.parts, t.Us):
+        V = np.diag(V) if V.ndim == 1 else V
         for i, X in [(m, V), (2 * t.N - m, V.conj())][:w]:
             U[np.ix_(*[np.searchsorted(t.keep, i)] * 2)] = X
     return U
@@ -864,7 +881,8 @@ def test_split_solve_matches_whole_block_solve(alpha, N):
     t = _solve_truncation(benilov_coefficients(*alpha), N)
     ((P, weight),) = t.parts
     assert weight == 2
-    K = t.A[np.ix_(t.keep, t.keep)]
+    A = assemble_A(benilov_coefficients(*alpha), N).entries
+    K = A[np.ix_(t.keep, t.keep)]
     U, ev, residual, _ = solve_lyapunov_core(K)
     half, tU = np.isin(t.keep, P), whole_U(t)
     # the whole solve's U is already exactly zero between the halves
@@ -881,8 +899,8 @@ def test_split_solve_matches_whole_block_solve(alpha, N):
     assert t.residual == pytest.approx(whole_residual, rel=0.05, abs=0.0)
     assert max(t.residual, residual) <= 1e-11
     # the sign band keeps the whole-U formula, ||U||_F^2 = 2 ||U_P||_F^2
-    band = sik.certify._sign_band(t.A, t.blocks, t.residual)
-    assert band == pytest.approx(sik.certify._sign_band(t.A, [tU], whole_residual), rel=1e-12)
+    band = sik.certify._sign_band(t.band, t.blocks, t.residual)
+    assert band == pytest.approx(sik.certify._sign_band(A, [tU], whole_residual), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -896,9 +914,11 @@ def test_part_inertia_counts_add_up_to_whole_block(spec, N):
     t = _solve_truncation(spec, N)
     assert t.parts[0][1] == 2
     d2 = d_weights(N) ** 2
-    U = solve_lyapunov_core(t.A[np.ix_(t.keep, t.keep)])[0]
+    U = solve_lyapunov_core(assemble_A(spec, N).entries[np.ix_(t.keep, t.keep)])[0]
     whole = _ldl_n_plus(d2[t.keep, None] * U * d2[None, t.keep])
-    parts = [w * _ldl_n_plus(d2[m, None] * V * d2[None, m]) for (m, w), V in zip(t.parts, t.Us)]
+    parts = [w * _ldl_n_plus(d2[m] * V * d2[m] if V.ndim == 1 else d2[m, None] * V * d2[None, m])
+             for (m, w), V in zip(t.parts, t.Us)]
+    assert [V.ndim for V in t.Us] == [2 - (spec.max_mode == 0)] * len(t.Us)
     assert whole is not None and sum(parts) == whole
 
 
@@ -909,20 +929,20 @@ def test_unpaired_kept_block_takes_single_solve(monkeypatch):
     # and a film kept block of 38 <= _SPLIT_MIN modes: each runs the one
     # whole-block solve, bit for bit
     def complex_c(spec, N):
-        A = assemble_A(spec, N)
-        A.entries[np.diag_indices(2 * N + 1)] += 0.5j
-        return A
+        band = assemble_band(spec, N)
+        band.diags[band.w] += 0.5j
+        return band
 
     a = TrigPoly.from_nonneg_modes([(1, -0.5j)])
     self_mirror = OperatorSpec(a=a, b=TrigPoly.zero(), c=TrigPoly.constant(1.0))
     film = benilov_coefficients(0.0, 1.0, 0.02)
-    cases = ((self_mirror, assemble_A, 60), (film, complex_c, 60), (film, assemble_A, 20))
+    cases = ((self_mirror, assemble_band, 60), (film, complex_c, 60), (film, assemble_band, 20))
     for spec, assemble, N in cases:
-        monkeypatch.setattr(sik.certify, "assemble_A", assemble)
+        monkeypatch.setattr(sik.certify, "assemble_band", assemble)
         t = _solve_truncation(spec, N)
         ((S, weight),) = t.parts
         assert weight == 1 and np.array_equal(S, t.keep)
-        U, ev, residual, _ = solve_lyapunov_core(t.A[t.keep][:, t.keep])
+        U, ev, residual, _ = solve_lyapunov_core(assemble(spec, N).dense()[t.keep][:, t.keep])
         assert np.array_equal(whole_U(t), U) and np.array_equal(t.eigenvalues, ev)
         assert t.residual == residual
 
@@ -984,3 +1004,81 @@ def test_certify_validate_one_blas_thread():
     for key in ("lyap_min", "c_N", "inverse_norm", "inverse_bound"):
         assert got_report.pop(key) == pytest.approx(report.pop(key), rel=1e-12), key
     assert got_report == report
+
+
+def test_diagonal_parts_match_dense_route():
+    # a constant-coefficient part is its diagonal throughout: its solve, the
+    # |||U||| bracket, the LDL^H count and its band give the values of the
+    # same part as a dense diagonal matrix, bit for bit, on the seed-11
+    # batch at each certificate's N; the sign band over the blocks agrees
+    # to rounding (its sum runs in another order)
+    from test_discrete_fields import cases
+
+    batch = [(spec, certified_index(spec)) for name, spec, _ in cases() if name.startswith("constant")]
+    assert len(batch) == 50
+    for spec, cert in batch:
+        t, N = _solve_truncation(spec, cert.N_final), cert.N_final
+        assert t.band.w == 0 and all(U.ndim == 1 for U in t.Us)
+        dense = [np.diag(U) for U in t.Us]
+        modes = [m for m, _ in t.parts]
+        for (m, _), U, V in zip(t.parts, t.Us, dense):
+            block = assemble_A(spec, N).entries[np.ix_(m, m)]
+            U2, ev, residual, pair_min = solve_lyapunov_core(block, _parts_scale(t.band, t.keep))
+            U1, ev1, residual1, pair_min1 = solve_lyapunov_core(np.diag(block), _parts_scale(t.band, t.keep))
+            assert U2.tobytes() == V.tobytes() and U1.tobytes() == U.tobytes()
+            assert (ev1.tobytes(), residual1, pair_min1) == (ev.tobytes(), residual, pair_min)
+            d2 = d_weights(N)[m] ** 2
+            X, Y = d2 * U * d2, d2[:, None] * V * d2[None, :]
+            assert np.diag(X).tobytes() == Y.tobytes()
+            assert _ldl_n_plus(X) == _ldl_n_plus(Y) is not None
+            assert _sign_band(X) == _sign_band(Y)
+        one = sik.certify.estimate_triple_U_kept(t.Us, modes, N, cert.M)
+        two = sik.certify.estimate_triple_U_kept(dense, modes, N, cert.M)
+        assert (one.lambda_max, one.tripleU_upper) == (two.lambda_max, two.tripleU_upper)
+        assert one.tripleU_upper == cert.tripleU_upper
+        band = _sign_band(t.band, t.blocks, t.residual)
+        assert band == pytest.approx(_sign_band(assemble_A(spec, N).entries,
+                                                [np.diag(U) for U in t.blocks], t.residual), rel=1e-14)
+
+
+def test_diagonal_truncation_holds_nothing(monkeypatch):
+    # a constant-coefficient certification runs on diagonals alone: no
+    # _Dense hold pins a thread or flushes, and no BLAS or LAPACK routine
+    # the dense route calls is reached
+    entered = []
+    enter = _Dense.__enter__
+
+    def spy(self):
+        entered.append((self.serial, bool(self.flush)))
+        return enter(self)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense kernel on a diagonal truncation")
+
+    monkeypatch.setattr(_Dense, "__enter__", spy)
+    for name in ("_schur", "_hetrf", "_back_transform"):
+        monkeypatch.setattr(sik.lyapunov, name, refuse)
+    monkeypatch.setattr(sik.index, "_hetrf", refuse)
+    for name in ("norm", "eigvalsh", "svd", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for coeffs in [(3.0, 1.0, 2.0), (-7.5, 4.0, 0.0), (9.0, -2.0, -6.0)]:
+        cert = certified_index(constant_spec(*coeffs))
+        assert cert.status == "Certified"
+    assert entered and set(entered) == {(False, False)}
+
+
+def test_pencil_scale_runs_on_one_blas_thread(monkeypatch):
+    # every BLAS call of a truncation's solve runs inside a _Dense hold:
+    # at film's N = 351 the pencil scale finds each OpenBLAS at one thread
+    libs = _Dense.calls
+    if not libs:
+        pytest.skip("numpy and scipy bundle no OpenBLAS")
+    seen, scale = [], sik.certify._parts_scale
+
+    def spy(*args):
+        seen.append([get() for get, _ in libs])
+        return scale(*args)
+
+    monkeypatch.setattr(sik.certify, "_parts_scale", spy)
+    t = _solve_truncation(benilov_coefficients(0.0, 1.0, 0.02), 351)
+    assert t.largest == 350 and seen == [[1] * len(libs)]

@@ -12,6 +12,7 @@ from sik import (
     OperatorSpec,
     TrigPoly,
     addition_rule_check,
+    assemble_A,
     benilov_coefficients,
     certified_index,
     count_half_plane,
@@ -161,7 +162,7 @@ def test_sign_band_clears_every_schur_eigenvalue():
     for a0, b0, c0 in [(0.0, 0.0, -3.0), (2.0, 1.0, 5.0), (-4.0, 3.0, 0.5), (9.0, -2.0, 0.0)]:
         const = [TrigPoly.constant(v) for v in (a0, b0, c0)]
         t = _solve_truncation(OperatorSpec(*const), 12)
-        solves.append((t.A, t.blocks, t.eigenvalues, t.residual))
+        solves.append((assemble_A(OperatorSpec(*const), 12).entries, t.blocks, t.eigenvalues, t.residual))
     for A, blocks, ev, residual in solves:
         floor = A.shape[0] * np.finfo(float).eps * _matrix_scale(A)
         assert _sign_band(A) == floor

@@ -15,7 +15,7 @@ from sik import (
     tp_derivative,
 )
 from sik.fourier_core import leibnitz_constant, sobolev_norm, tp_multiply
-from sik.operator_assembly import SpectralMatrix, d_weights
+from sik.operator_assembly import Band, SpectralMatrix, assemble_band, d_weights
 
 
 def random_spec(rng, max_mode=3, scale=1.0):
@@ -78,6 +78,43 @@ def test_constant_coefficients_give_diagonal():
         assert abs(A.entries[p + 6, p + 6] - expected) < 1e-12
     off = A.entries - np.diag(np.diag(A.entries))
     assert np.max(np.abs(off)) == 0.0
+
+
+def dense_fill(spec, N):
+    """P_N A P_N filled straight into a dense matrix, diagonal by diagonal:
+    the construction the band replaced, kept as its reference."""
+    n = 2 * N + 1
+    out = np.zeros((n, n), dtype=complex)
+    p = np.arange(-N, N + 1, dtype=float)
+    out[np.arange(n), np.arange(n)] = -(p**4)
+    for m in sorted(set(spec.a.coeffs) | set(spec.b.coeffs) | set(spec.c.coeffs)):
+        r = np.arange(max(0, m), min(2 * N, 2 * N + m) + 1)
+        pv = (r - N).astype(float)
+        out[r, r - m] += pv**2 * spec.a.coeff(m) + 1j * pv * spec.b.coeff(m) - spec.c.coeff(m)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:N=")
+def test_band_expands_to_assembled_matrix():
+    # the band of w = max_mode holds P_N A P_N entry for entry: its dense
+    # expansion is assemble_A's entries and the direct dense fill, bit for
+    # bit, also when N < max_mode cuts coefficients; windows, blocks over
+    # mode subsets and the band of the dense matrix agree with it too
+    rng = np.random.default_rng(72)
+    for max_mode in range(4):
+        for N in (0, 1, 2, 3, 7, 12):
+            spec = random_spec(rng, max_mode=max_mode)
+            band, A = assemble_band(spec, N), assemble_A(spec, N).entries
+            assert band.w == spec.max_mode == max_mode and band.shape == A.shape
+            assert band.dense().tobytes() == A.tobytes() == dense_fill(spec, N).tobytes()
+            assert Band.of(A).dense().tobytes() == A.tobytes()
+            lo, hi = sorted(rng.integers(0, 2 * N + 2, size=2))
+            assert np.array_equal(band.dense(lo, hi), A[lo:hi, lo:hi])
+            m = np.flatnonzero(rng.random(2 * N + 1) < 0.6)
+            block = band.block(m)
+            assert np.array_equal(block if max_mode else np.diag(block), A[np.ix_(m, m)])
+            # the centre of the 2N band is the band at N
+            assert np.array_equal(assemble_band(spec, 2 * N).dense(N, 3 * N + 1), A)
 
 
 def test_spectral_matrix_validation():

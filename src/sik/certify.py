@@ -1,9 +1,9 @@
 """End-to-end certification that kappa(A) equals the truncated count.
 
-The loop: assemble P_N A P_N as its band, the 2w + 1 diagonals that
-coefficients of largest mode w fill (no dense matrix is built), solve the
-truncated Lyapunov equation, bound |||U||| from the solution, and test the
-truncation conditions
+One function, _evaluate, tests a truncation N: assemble P_N A P_N as its
+band, the 2w + 1 diagonals that coefficients of largest mode w fill (no
+dense matrix is built), solve the truncated Lyapunov equation, bound
+|||U||| from the solution, and test the truncation conditions
 
     condition 1:  N^2 > M |||U|||
     condition 2:  N^2 > M (1 + sqrt(1 + M)) |||U|||
@@ -11,7 +11,8 @@ truncation conditions
 with the guaranteed upper bound for |||U|||.  When condition 2 holds, the
 right-half-plane count of the truncation provably equals the index of the
 full operator, and the certificate records both the Schur count and the
-Lyapunov-inertia count (they must agree for status Certified).
+Lyapunov-inertia count (they must agree for status Certified).  The loop
+only picks each next N; sik spectrum at a fixed N runs the same test.
 
 Structural reduction, found in one scan of the band (_split): singleton
 strongly connected components with exactly zero real diagonal (e.g. the
@@ -41,11 +42,11 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .errors import DeltaTooLarge, NearSingularPencil
+from .errors import NearSingularPencil
 from .index import _ldl_n_plus, count_half_plane
 from .lyapunov import (_RESIDUAL_TOL, _Dense, _parts_scale, _schur, _sign_band,
                        solve_lyapunov_core)
-from .norms_estimates import TailReport, estimate_triple_U_kept
+from .norms_estimates import estimate_triple_U_kept
 from .operator_assembly import Band, OperatorSpec, assemble_band, constant_M, d_weights
 
 __all__ = [
@@ -212,17 +213,6 @@ def _solve_truncation(spec: OperatorSpec, N: int) -> _Truncation:
     return t
 
 
-def _bracket(t: _Truncation, M: float) -> Optional[TailReport]:
-    """The |||U||| bracket of a truncation; None when it is unsolved or
-    delta_N >= 1."""
-    if t.Us is None:
-        return None
-    try:
-        return estimate_triple_U_kept(t.Us, [m for m, _ in t.parts], t.N, M)
-    except DeltaTooLarge:
-        return None
-
-
 def _cond2_order(M: float, tripleU_upper: float) -> int:
     """Least N with N^2 >= M (1 + sqrt(1 + M)) |||U|||, condition 2's order."""
     return math.ceil(math.sqrt(M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper))
@@ -234,7 +224,7 @@ def _next_order(M: float, lambda_max: float) -> int:
 
 
 def certified_index(spec: OperatorSpec, opts: CertifyOptions | None = None) -> Certificate:
-    """Adaptive certification loop; always returns a Certificate.
+    """Adaptive loop over _evaluate's test of each N; always returns a Certificate.
 
     status Certified requires condition 2, agreement of the Schur and
     inertia counts, no eigenvalue inside the sign band, and a Lyapunov
@@ -256,45 +246,55 @@ def _certify(spec: OperatorSpec, opts: CertifyOptions | None = None):
     N = min(N, opts.max_N)
 
     for _ in range(opts.max_iterations):
-        t = _solve_truncation(spec, N)
-        with _Dense(t.largest):
-            tail = _bracket(t, M)
-            # D^2 U D^2 per part: U's inertia, eigenvalues off zero by the elliptic estimate
-            d2 = d_weights(N) ** 2
-            counts = [_ldl_n_plus(d2[m] * U * d2[m] if U.ndim == 1
-                                  else d2[m, None] * U * d2[None, m])
-                      for (m, _), U in zip(t.parts, t.Us or ())]
-            n_plus, _, n_zero, gap = count_half_plane(t.eigenvalues,
-                                                      _sign_band(t.band, t.blocks, t.residual))
-        if tail is not None:
-            tripleU_upper = tail.tripleU_upper
-            cond1 = float(N) ** 2 > M * tripleU_upper
-            cond2 = float(N) ** 2 > M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper
-            c_N = 1.0 - M**2 / float(N) ** 4 * tripleU_upper
-        else:
-            cond1 = cond2 = False
-            c_N = tripleU_upper = None
-
-        kappa_lyap = (None if t.Us is None or None in counts
-                      else sum(w * c for (_, w), c in zip(t.parts, counts)))
-        kappa_schur = int(n_plus)
-        if t.Us is None:
-            status = STATUS_SPECTRA_TOUCH_AXIS
-        elif cond2 and kappa_schur == kappa_lyap and n_zero == 0 and t.residual <= _RESIDUAL_TOL:
-            # an unreliable solve certifies nothing, whatever it counts
-            status = STATUS_CERTIFIED
-        else:
-            status = STATUS_CONDITION_NOT_MET
-
-        cert = Certificate(
-            spec_digest=digest, M=M, N_final=N, delta_N=M / float(N) ** 2, c_N=c_N,
-            tripleU_upper=tripleU_upper, cond1_ok=bool(cond1), cond2_ok=bool(cond2),
-            kappa_schur=kappa_schur, kappa_lyapunov=kappa_lyap, residual=t.residual,
-            axis_gap=gap, status=status, n_axis=int(t.axis.size), timestamp=_now())
-        if cond2 or tail is None or N >= opts.max_N:
+        cert, t, lambda_max = _evaluate(spec, N, M, digest)
+        if cert.cond2_ok or lambda_max is None or N >= opts.max_N:
             return cert, t
-        N = min(max(_next_order(M, tail.lambda_max) + _MARGIN, N + 1), opts.max_N)
+        N = min(max(_next_order(M, lambda_max) + _MARGIN, N + 1), opts.max_N)
     return cert, t
+
+
+def _evaluate(spec: OperatorSpec, N: int, M: float, digest: str):
+    """Truncation N's test: (its Certificate, its _Truncation, lambda_max).
+    No |||U||| bracket, so lambda_max None and neither condition, unless
+    the truncation is solved and delta_N < 1 (_tail_report's test)."""
+    t = _solve_truncation(spec, N)
+    delta = M / float(N) ** 2
+    with _Dense(t.largest):
+        tail = (None if t.Us is None or delta >= 1.0
+                else estimate_triple_U_kept(t.Us, [m for m, _ in t.parts], N, M))
+        # D^2 U D^2 per part: U's inertia, eigenvalues off zero by the elliptic estimate
+        d2 = d_weights(N) ** 2
+        counts = [_ldl_n_plus(d2[m] * U * d2[m] if U.ndim == 1
+                              else d2[m, None] * U * d2[None, m])
+                  for (m, _), U in zip(t.parts, t.Us or ())]
+        n_plus, _, n_zero, gap = count_half_plane(t.eigenvalues,
+                                                  _sign_band(t.band, t.blocks, t.residual))
+    if tail is not None:
+        tripleU_upper = tail.tripleU_upper
+        cond1 = float(N) ** 2 > M * tripleU_upper
+        cond2 = float(N) ** 2 > M * (1.0 + math.sqrt(1.0 + M)) * tripleU_upper
+        c_N = 1.0 - M**2 / float(N) ** 4 * tripleU_upper
+    else:
+        cond1 = cond2 = False
+        c_N = tripleU_upper = None
+
+    kappa_lyap = (None if t.Us is None or None in counts
+                  else sum(w * c for (_, w), c in zip(t.parts, counts)))
+    kappa_schur = int(n_plus)
+    if t.Us is None:
+        status = STATUS_SPECTRA_TOUCH_AXIS
+    elif cond2 and kappa_schur == kappa_lyap and n_zero == 0 and t.residual <= _RESIDUAL_TOL:
+        # an unreliable solve certifies nothing, whatever it counts
+        status = STATUS_CERTIFIED
+    else:
+        status = STATUS_CONDITION_NOT_MET
+
+    cert = Certificate(
+        spec_digest=digest, M=M, N_final=N, delta_N=delta, c_N=c_N,
+        tripleU_upper=tripleU_upper, cond1_ok=bool(cond1), cond2_ok=bool(cond2),
+        kappa_schur=kappa_schur, kappa_lyapunov=kappa_lyap, residual=t.residual,
+        axis_gap=gap, status=status, n_axis=int(t.axis.size), timestamp=_now())
+    return cert, t, None if tail is None else tail.lambda_max
 
 
 def cross_validate(cert: Certificate, spec: OperatorSpec):

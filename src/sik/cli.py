@@ -26,10 +26,9 @@ from .certify import (
     STATUS_CERTIFIED,
     STATUS_CONDITION_NOT_MET,
     STATUS_SPECTRA_TOUCH_AXIS,
-    _bracket,
     _certify,
     _cond2_order,
-    _solve_truncation,
+    _evaluate,
     certified_index,
 )
 from .errors import ConfigError
@@ -204,16 +203,10 @@ def cmd_spectrum(config_path, out_path=None) -> int:
     if out is None:
         raise ConfigError("output", "spectrum requires an output path")
 
-    M = constant_M(spec)
-    exit_code = 0
-    if fixed_N is not None:
-        t = _solve_truncation(spec, fixed_N)
-        tail = _bracket(t, M)
-        tripleU_upper = None if tail is None else tail.tripleU_upper
-    else:
+    if fixed_N is None:
         cert, t = _certify(spec, opts)
-        tripleU_upper = cert.tripleU_upper
-        exit_code = _EXIT_BY_STATUS[cert.status]
+    else:  # that one truncation's test, as the loop runs it; exit 0 whatever its status
+        cert, t, _ = _evaluate(spec, fixed_N, constant_M(spec), spec.digest())
 
     # the kept block's Schur eigenvalues and the exact axis modes
     eigs = np.concatenate([t.eigenvalues, t.band.diags[t.band.w, t.axis]])
@@ -225,10 +218,10 @@ def cmd_spectrum(config_path, out_path=None) -> int:
     _write_text(out, "\n".join(lines) + "\n")
 
     # the truncation order condition 2 asks for, when a tail bound exists
-    cutoff = None if tripleU_upper is None else _cond2_order(M, tripleU_upper)
-    meta = {"N": t.N, "M": M, "suggested_cutoff": cutoff}
+    cutoff = None if cert.tripleU_upper is None else _cond2_order(cert.M, cert.tripleU_upper)
+    meta = {"N": t.N, "M": cert.M, "suggested_cutoff": cutoff}
     _write_text(_sidecar_path(out), json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return exit_code
+    return _EXIT_BY_STATUS[cert.status] if fixed_N is None else 0
 
 
 def _grid_rows(config):

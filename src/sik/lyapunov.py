@@ -253,11 +253,10 @@ _ZHETRF = _lapack("zhetrf", _C, _I, _Z, _I, _Z, _Z, _I, _I)
 
 def _schur(A: np.ndarray):
     """(T, Z, w): A = Z T Z^H in complex Schur form, T and Z in Fortran order,
-    and w = max |i - j| over A's nonzeros.  A diagonal A (w = 0, e.g.
-    constant coefficients) is its own Schur form: T = A, Z = I.  Another
-    upper Hessenberg A (each tridiagonal part) goes straight to LAPACK
-    zhseqr, skipping the reduction scipy.linalg.schur runs first (61% of
-    film's Schur)."""
+    and w = max |i - j| over A's nonzeros.  An upper Hessenberg A (each
+    tridiagonal part) goes straight to LAPACK zhseqr, skipping the
+    reduction scipy.linalg.schur runs first (61% of film's Schur); of a
+    diagonal A zhseqr returns T = A and Z = I."""
     diff = np.subtract(*np.nonzero(A))
     w = int(np.abs(diff).max(initial=0))
     if diff.max(initial=0) > 1:
@@ -265,8 +264,6 @@ def _schur(A: np.ndarray):
         return np.asfortranarray(T), np.asfortranarray(Z), w
     n = A.shape[0]
     T = np.array(A, dtype=complex, order="F")
-    if w == 0:
-        return T, np.eye(n, dtype=complex, order="F"), w
     Z = np.empty((n, n), dtype=complex, order="F")
     ev, work, info = np.empty(n, dtype=complex), np.empty(1, dtype=complex), ctypes.c_int()
     args = (b"S", b"I", ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int(n), T.ctypes.data,
@@ -390,10 +387,10 @@ def solve_lyapunov_core(A: np.ndarray, scale=None):
     """Solve A^H U + U A = I for a raw square matrix.
 
     One complex Schur decomposition plus the blocked triangular solve
-    above, in place, each skipping exact zeros: a diagonal A is its own
-    Schur form and U = diag(1 / (2 Re lambda)) in closed form (a 1-D A is
-    a diagonal matrix's diagonal, and U comes back as U's, in O(n) with no
-    _Dense hold); otherwise all-zero right-hand sides are not solved,
+    above, in place, each skipping exact zeros: a 1-D A, a diagonal
+    matrix's diagonal, is its own Schur form, and U's diagonal 1 / (2 Re
+    lambda) comes back in closed form, in O(n) with no _Dense hold;
+    otherwise all-zero right-hand sides are not solved,
     couplings run over T's nonzero ranges, and Z Y Z^H over Z's.  Returns (U, eigenvalues,
     residual, pair_min) where residual = ||A^H U + U A - I||_F / sqrt(n)
     and pair_min is the minimal |lambda_i + conj(lambda_j)| over
@@ -427,9 +424,8 @@ def solve_lyapunov_core(A: np.ndarray, scale=None):
                 pair_min=pair_min,
                 tol=tol,
             )
-        if w == 0:  # its own Schur form; trsyl's 1 / (conj(l) + l) is this value too
+        if A.ndim == 1:  # its own Schur form; trsyl's 1 / (conj(l) + l) is this value too
             U = (1.0 / (2.0 * ev.real)).astype(complex)
-            U = np.diag(U) if A.ndim == 2 else U
         else:
             Y = np.eye(n, dtype=complex, order="F")
             y_scale = 1.0

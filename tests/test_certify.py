@@ -385,13 +385,29 @@ def test_film_certificate_frozen():
     assert cert.c_N == pytest.approx(0.9999123502003046, rel=1e-12)
 
 
+def mem_available():
+    """MemAvailable in bytes, read from /proc/meminfo; inf where it is not given."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+        return int(fields["MemAvailable"].split()[0]) * 1024  # the file counts kB
+    except (OSError, KeyError):
+        return math.inf
+
+
 @pytest.mark.parametrize(
     "alpha3, max_N, kappa, N_final",
     [
         (0.01, 1024, 6, 768),
         pytest.param(0.005, 1024, 10, 956, marks=pytest.mark.slow),
-        # about 7 s and 0.9 GB peak RSS on a 2-core x86-64 box
+        # about 2.7 s and 623 MB peak RSS on a 2-core x86-64 box
         pytest.param(0.002, 4096, 16, 2246, marks=pytest.mark.slow),
+        # about 8 s and 2.5 GB peak RSS on the same box
+        pytest.param(0.001, 8192, 22, 4748, marks=[
+            pytest.mark.slow,
+            pytest.mark.skipif(mem_available() < 3 * 2**30,
+                               reason="needs about 3 GB of available memory"),
+        ]),
     ],
 )
 def test_alpha3_ladder_certifies(alpha3, max_N, kappa, N_final):
@@ -484,17 +500,17 @@ def test_next_N_from_lambda_max(monkeypatch, alpha, sequence):
 def test_failed_prediction_iterates_again(monkeypatch):
     # a bracket twice as wide at the predicted N = 136 fails condition 2
     # there: the loop must solve a larger N, never certify on the prediction
-    bracket = sik.certify._bracket
+    bracket = sik.certify.estimate_triple_U_kept
 
-    def wider_at_136(t, M):
-        tail = bracket(t, M)
-        if t.N != 136:
+    def wider_at_136(Us, modes, N, M):
+        tail = bracket(Us, modes, N, M)
+        if N != 136:
             return tail
         return dataclasses.replace(
             tail, lambda_max=2.0 * tail.lambda_max, tripleU_upper=2.0 * tail.tripleU_upper
         )
 
-    monkeypatch.setattr(sik.certify, "_bracket", wider_at_136)
+    monkeypatch.setattr(sik.certify, "estimate_triple_U_kept", wider_at_136)
     spec = benilov_coefficients(0.0, 1.0, 0.05)
     cert, seen = iterations(monkeypatch, spec)
     assert seen[:2] == [12, 136] and len(seen) == 3 and seen[2] > 136
@@ -517,17 +533,22 @@ def test_residual_tol_blocks_certified(monkeypatch):
 
 def test_one_truncated_solve_pipeline():
     # the certify path and the CLI solve each truncation through one
-    # function, stay off the Kernel2D reference types and off the eig/inv
-    # route, and off the dense matrix (each truncation is assembled as its
-    # band); the only Schur outside the solve is cross_validate's recount at
-    # N, and the only eigvalsh its Lyapunov floor: certified_index reads the
-    # inertia from the LDL^H count, and sik spectrum writes the record's own
+    # function and test it through another, _evaluate, the loop's body and
+    # sik spectrum's fixed N, which alone brackets |||U|||; they stay off
+    # the Kernel2D reference types and off the eig/inv route, and off the
+    # dense matrix (each truncation is assembled as its band); the only
+    # Schur outside the solve is cross_validate's recount at N, and the
+    # only eigvalsh its Lyapunov floor: certified_index reads the inertia
+    # from the LDL^H count, and sik spectrum writes the record's own
     # eigenvalues.  Every sign band on the path is a _sign_band(...) call,
     # and _sign_band is defined once.  A singular pencil is caught once, in
     # _solve_truncation, which returns the unsolved record
     sites = {
         "assemble_A": [],
         "assemble_band": [],
+        "_solve_truncation": [],
+        "_evaluate": [],
+        "estimate_triple_U_kept": [],
         "solve_lyapunov_core": [],
         "exact_axis_split": [],
         "_split": [],
@@ -560,13 +581,16 @@ def test_one_truncated_solve_pipeline():
     assert sites == {
         "assemble_A": [],
         "assemble_band": ["_solve_truncation", "cross_validate"],
+        "_solve_truncation": ["_evaluate", "cross_validate"],
+        "_evaluate": ["_certify", "cmd_spectrum"],
+        "estimate_triple_U_kept": ["_evaluate"],
         "solve_lyapunov_core": ["_solve_truncation"],
         "exact_axis_split": [],
         "_split": ["exact_axis_split", "_solve_truncation"],
         "_schur": ["cross_validate"],
         "eigvalsh": ["cross_validate"],
         "eigvals": [],
-        "_ldl_n_plus": ["_certify"],
+        "_ldl_n_plus": ["_evaluate"],
     }
     for module in (sik.certify, sik.cli):
         tree = ast.parse(inspect.getsource(module))
@@ -870,7 +894,8 @@ def test_split_lambda_max_is_the_larger_part(spec, N):
     t = _solve_truncation(spec, N)
     M = sik.constant_M(spec)
     whole = sik.certify.estimate_triple_U_kept([whole_U(t)], [t.keep], N, M).tripleU_upper
-    assert sik.certify._bracket(t, M).tripleU_upper == pytest.approx(whole, rel=1e-12)
+    split = sik.certify.estimate_triple_U_kept(t.Us, [m for m, _ in t.parts], N, M)
+    assert split.tripleU_upper == pytest.approx(whole, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import sik.certify
 import sik.cli
 import sik.lyapunov
 from sik import CertifyOptions
@@ -325,23 +326,29 @@ def test_spectrum_certified_run_writes_sidecar(tmp_path):
 def test_spectrum_cutoff_from_certificate_equals_fixed_N(
     tmp_path, monkeypatch, coefficients, cutoff
 ):
-    # the certified route reads the cutoff off the certificate's bound; a
-    # fixed-N run at N_final solves again and must agree
-    solve = sik.cli._solve_truncation
+    # the certified route reads the cutoff off the certificate's bound,
+    # solving no truncation beyond certified_index's; a fixed-N run at
+    # N_final solves that one truncation and must agree
+    solve, solved = sik.certify._solve_truncation, []
 
-    def no_solve(*args):
-        raise AssertionError("spectrum re-solved after certification")
+    def counted(spec, N):
+        solved.append(N)
+        return solve(spec, N)
 
-    monkeypatch.setattr(sik.cli, "_solve_truncation", no_solve)
+    monkeypatch.setattr(sik.certify, "_solve_truncation", counted)
+    sik.certify.certified_index(sik.cli._spec_from_config({"coefficients": coefficients}))
+    by_index, solved[:] = solved[:], []
     cfg = write_config(tmp_path, {"coefficients": coefficients})
     main(["spectrum", "--config", cfg, "--out", str(tmp_path / "cert.csv")])
     meta = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))
     assert meta["suggested_cutoff"] == cutoff
+    assert solved == by_index
 
-    monkeypatch.setattr(sik.cli, "_solve_truncation", solve)
+    solved.clear()
     fixed = {"coefficients": coefficients, "options": {"N": meta["N"]}}
     cfg = write_config(tmp_path, fixed, name="fixed.json")
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "fixed.csv")]) == 0
+    assert solved == [meta["N"]]
     assert json.loads((tmp_path / "fixed.json").read_text(encoding="utf-8")) == meta
     assert (tmp_path / "fixed.csv").read_text() == (tmp_path / "cert.csv").read_text()
 
@@ -429,6 +436,32 @@ def test_sweep_bad_alpha3_row_does_not_abort(tmp_path):
     assert len(rows) == 2
     assert rows[0][4] == "Certified"
     assert rows[1] == ["0.0", "1.0", "0.0", "", "config_error", ""]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_row_error_does_not_abort(tmp_path, monkeypatch, jobs):
+    # an exception from one row's certification becomes that row's status;
+    # the other rows, and the exit code, are those of a clean sweep
+    cfg = write_config(
+        tmp_path,
+        {"grid": {"alpha1": [0.0, 0.5], "alpha2": [1.0], "alpha3": [0.5, 0.2]}},
+        name="grid.json",
+    )
+    clean, failing = tmp_path / "clean.csv", tmp_path / "failing.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(clean), "--jobs", jobs]) == 0
+    certify, bad = sik.cli.certified_index, benilov_coefficients(0.5, 1.0, 0.5).digest()
+
+    def raise_on_one_row(spec, opts):
+        if spec.digest() == bad:
+            raise RuntimeError("certification failed")
+        return certify(spec, opts)
+
+    monkeypatch.setattr(sik.cli, "certified_index", raise_on_one_row)
+    assert main(["sweep", "--config", cfg, "--out", str(failing), "--jobs", jobs]) == 0
+    (header, rows), (clean_header, clean_rows) = read_csv(failing), read_csv(clean)
+    assert header == clean_header and rows[:2] + rows[3:] == clean_rows[:2] + clean_rows[3:]
+    assert clean_rows[2][:5] == ["0.5", "1.0", "0.5", "0", "Certified"]
+    assert rows[2] == ["0.5", "1.0", "0.5", "", "error:RuntimeError", ""]
 
 
 SWEEP_GRID_CSV = """\

@@ -9,6 +9,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -269,17 +270,17 @@ def test_blocked_solver_on_diagonal_schur_form():
 
 
 def test_diagonal_part_in_closed_form(monkeypatch):
-    # a diagonal part skips zhseqr and trsyl: U = diag(1 / (2 Re lambda))
-    # equals the blocked route's bit for bit, at a size with one trsyl
-    # block and at one with a split
+    # a diagonal part, given as its diagonal, skips zhseqr and trsyl: U's
+    # diagonal 1 / (2 Re lambda) equals the blocked route's U bit for bit,
+    # at a size with one trsyl block and at one with a split
     for N in (20, 70):
         A = constant_matrix(N)
         U_ref, *_ = blocked_route(A)
         for name in ("_ZHSEQR", "_trsyl"):
             monkeypatch.setattr(sik.lyapunov, name, None)  # a call would raise
-        U, ev, residual, _ = solve_lyapunov_core(A)
+        U, ev, residual, _ = solve_lyapunov_core(np.diag(A))
         monkeypatch.undo()
-        assert U.tobytes() == U_ref.tobytes()
+        assert U.ndim == 1 and np.diag(U).tobytes() == U_ref.tobytes()
         assert np.array_equal(ev, np.diag(A)) and residual < 1e-14
 
 
@@ -292,10 +293,21 @@ def test_diagonal_route_keeps_the_pencil_test(monkeypatch):
     assert np.array_equal(A, np.diag(np.diag(A)))
     monkeypatch.setattr(sik.lyapunov, "_ZHSEQR", None)
     with pytest.raises(NearSingularPencil) as err:
-        solve_lyapunov_core(A)
+        solve_lyapunov_core(np.diag(A))
     monkeypatch.undo()
     assert err.value.pair_min == pytest.approx(2e-12, rel=1e-9)
     assert certified_index(spec).status == "SpectraTouchAxis"
+
+
+@pytest.mark.parametrize("A", [np.zeros((0, 0)), np.zeros(0)])
+def test_empty_part_solves_to_nothing(A):
+    # every mode peeled onto the axis leaves an empty kept block, dense or
+    # diagonal: an empty U of the input's shape, no eigenvalue, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        U, ev, residual, pair_min = solve_lyapunov_core(A)
+    assert U.ndim == A.ndim and U.shape == A.shape
+    assert ev.size == 0 and residual == 0.0 and pair_min == math.inf
 
 
 def film_half(N):

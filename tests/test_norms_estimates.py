@@ -21,7 +21,7 @@ from sik import (
     tail_bound,
     triple_norm,
 )
-from sik.certify import _bracket, _solve_truncation, exact_axis_split
+from sik.certify import _solve_truncation, exact_axis_split
 from sik.errors import DeltaTooLarge
 from sik.fourier_core import Kernel2D
 from sik.lyapunov import LyapunovSolution, _Dense, green_kernel, solve_lyapunov_core
@@ -146,7 +146,9 @@ def test_sigma_max_upper_bound_above_dense_limit(monkeypatch):
     film, thin = (0.0, 1.0, 0.02), (0.0, 1.0, 0.05)
     for alphas, N in ((film, 351), (thin, 136), (film, 478), (thin, 177), ((0.01, 1.0, 0.1), 9)):
         spec = benilov_coefficients(*alphas)
-        assert _bracket(_solve_truncation(spec, N), constant_M(spec)) is not None
+        t = _solve_truncation(spec, N)
+        assert t.Us is not None
+        estimate_triple_U_kept(t.Us, [m for m, _ in t.parts], N, constant_M(spec))
     assert [W.shape[0] for W in Ws] == [350, 135, 477, 176, 19]
     for W in Ws:
         dense = float(scipy.linalg.svdvals(W)[0])
